@@ -12,20 +12,18 @@
  * trials, and the ctest entry is RUN_SERIAL, so transient machine load
  * does not fail the gate.
  *
- * The file format is deliberately trivial (one "NAME": rate pair per
- * scheme) so this stays dependency-free; it is not a general JSON
- * parser.
+ * The file is a flat JSON object of "NAME": rate pairs, one per
+ * scheme; an unreadable or malformed file counts as no baseline.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "common/json.hh"
 #include "compiler/analysis.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
@@ -80,20 +78,15 @@ readBaseline(const std::string &path)
 {
     std::map<std::string, double> out;
     std::ifstream in(path);
-    if (!in)
+    std::ostringstream text;
+    text << in.rdbuf();
+    JsonValue doc;
+    std::string error;
+    if (!parseJson(text.str(), doc, error))
         return out;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::size_t q1 = line.find('"');
-        if (q1 == std::string::npos)
-            continue;
-        std::size_t q2 = line.find('"', q1 + 1);
-        std::size_t colon = line.find(':', q2);
-        if (q2 == std::string::npos || colon == std::string::npos)
-            continue;
-        out[line.substr(q1 + 1, q2 - q1 - 1)] =
-            std::strtod(line.c_str() + colon + 1, nullptr);
-    }
+    for (const auto &[name, rate] : doc.members)
+        if (rate.isNumber())
+            out[name] = rate.number;
     return out;
 }
 

@@ -14,6 +14,7 @@
 
 #include <csignal>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/strutil.hh"
@@ -74,8 +75,6 @@ usage(const char *argv0, int code)
         << "  --help, -h      this text\n";
     std::exit(code);
 }
-
-using obs::jsonEscape;
 
 // Checkpoint journal encoding: the line-oriented format introduced in
 // PR 4 now lives in serve/journal.{hh,cc}, shared with the campaign

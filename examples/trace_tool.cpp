@@ -57,7 +57,7 @@ doReplay(const std::string &path, const std::vector<std::string> &args)
     MachineConfig cfg = MachineConfig::fromParams(params);
     cfg.procs = trace.procs; // the trace fixes the processor count
 
-    sim::ReplayResult r =
+    sim::RunResult r =
         sim::replayTrace(trace.records, cfg, trace.dataBytes);
     std::cout << csprintf(
         "replayed %d records on %s: reads=%d misses=%d (%.2f%%) "

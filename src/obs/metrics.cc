@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 
@@ -198,90 +199,41 @@ readMetricsJson(std::istream &is, std::vector<MetricSample> &rows,
                 std::string *spec_str)
 {
     rows.clear();
-    std::string line;
-    bool sawFields = false;
-    bool inRows = false;
-    while (std::getline(is, line)) {
-        // Trim leading whitespace.
-        std::size_t b = line.find_first_not_of(" \t");
-        if (b == std::string::npos)
-            continue;
-        std::string t = line.substr(b);
+    std::ostringstream text;
+    text << is.rdbuf();
+    JsonValue doc;
+    std::string error;
+    if (!parseJson(text.str(), doc, error))
+        return false;
 
-        if (spec_str && t.rfind("\"spec\":", 0) == 0) {
-            std::size_t q1 = t.find('"', 7);
-            std::size_t q2 = q1 == std::string::npos
-                ? std::string::npos : t.find('"', q1 + 1);
-            if (q2 != std::string::npos)
-                *spec_str = t.substr(q1 + 1, q2 - q1 - 1);
-        }
-
-        if (t.rfind("\"fields\":", 0) == 0) {
-            // Validate the schema matches ours, field for field.
-            std::vector<std::string> names;
-            std::size_t pos = t.find('[');
-            while (pos != std::string::npos) {
-                std::size_t q1 = t.find('"', pos);
-                if (q1 == std::string::npos)
-                    break;
-                std::size_t q2 = t.find('"', q1 + 1);
-                if (q2 == std::string::npos)
-                    break;
-                names.push_back(t.substr(q1 + 1, q2 - q1 - 1));
-                pos = q2 + 1;
-            }
-            if (names.size() != kNumFields)
-                return false;
-            for (std::size_t i = 0; i < kNumFields; ++i)
-                if (names[i] != kFieldNames[i])
-                    return false;
-            sawFields = true;
-            continue;
-        }
-
-        if (t.rfind("\"rows\":", 0) == 0) {
-            inRows = true;
-            continue;
-        }
-        if (!inRows)
-            continue;
-        if (t[0] == ']' || t[0] == '}') {
-            inRows = false;
-            continue;
-        }
-        if (t[0] != '[')
-            continue;
-
-        // Parse one numeric row.
-        std::vector<double> vals;
-        std::size_t i = 1;
-        while (i < t.size() && t[i] != ']') {
-            while (i < t.size() && (t[i] == ' ' || t[i] == ','))
-                ++i;
-            std::size_t j = i;
-            while (j < t.size() && t[j] != ',' && t[j] != ']')
-                ++j;
-            if (j > i) {
-                try {
-                    vals.push_back(std::stod(t.substr(i, j - i)));
-                } catch (...) {
-                    return false;
-                }
-            }
-            i = j;
-        }
-        if (vals.size() != kNumFields)
+    // The schema must match ours, field for field.
+    const JsonValue *fields = doc.get("fields");
+    const JsonValue *data = doc.get("rows");
+    if (!fields || !fields->isArray() || fields->items.size() != kNumFields ||
+        !data || !data->isArray())
+        return false;
+    for (std::size_t i = 0; i < kNumFields; ++i)
+        if (fields->items[i].asString() != kFieldNames[i])
             return false;
+
+    for (const JsonValue &row : data->items) {
+        if (!row.isArray() || row.items.size() != kNumFields)
+            return false;
+        for (const JsonValue &v : row.items)
+            if (!v.isNumber())
+                return false;
         MetricSample s;
         std::size_t k = 0;
 #define HSCD_METRIC_READ(name)                                               \
-        s.name = static_cast<std::uint64_t>(vals[k++]);
+        s.name = static_cast<std::uint64_t>(row.items[k++].number);
         HSCD_METRIC_U64_FIELDS(HSCD_METRIC_READ)
 #undef HSCD_METRIC_READ
-        s.networkLoad = vals[k];
+        s.networkLoad = row.items[k].number;
         rows.push_back(s);
     }
-    return sawFields;
+    if (const JsonValue *spec = doc.get("spec"); spec && spec_str)
+        *spec_str = spec->asString();
+    return true;
 }
 
 } // namespace obs

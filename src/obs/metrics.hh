@@ -139,9 +139,9 @@ class MetricsRecorder
 };
 
 /**
- * Parse a metrics JSON file produced by writeJson (rigid format - not a
- * general JSON parser). Returns false on any schema mismatch; on
- * success fills @p rows (and @p spec_str when non-null).
+ * Parse a metrics JSON file produced by writeJson. Returns false on
+ * malformed JSON or any schema mismatch; on success fills @p rows (and
+ * @p spec_str when non-null).
  */
 bool readMetricsJson(std::istream &is, std::vector<MetricSample> &rows,
                      std::string *spec_str = nullptr);

@@ -25,9 +25,6 @@
 namespace hscd {
 namespace obs {
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /** FNV-1a over a byte string (the provenance config-hash primitive). */
 std::uint64_t fnv1a(const std::string &s,
                     std::uint64_t seed = 0xcbf29ce484222325ull);

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 
+#include "common/json.hh"
 #include "common/strutil.hh"
 
 namespace hscd {

@@ -63,12 +63,17 @@ struct TokenReader
     bool ok = true;
 };
 
-/** Append every RunResult field as journal tokens (leading spaces). */
+/**
+ * Append every RunResult field as journal tokens (leading spaces): the
+ * HSCD_RUN_RESULT_SCALARS in list order, then the violation lists, the
+ * abort record and the fault counters.
+ */
 void encodeResult(std::ostream &s, const sim::RunResult &r);
 
 /**
  * Decode a RunResult previously written by encodeResult. Returns false
- * on any malformed token or implausible length prefix (torn tail).
+ * on any malformed token, implausible length prefix or unknown abort
+ * kind (torn or corrupt tail).
  */
 bool decodeResult(TokenReader &in, sim::RunResult &r);
 

@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "mem/machine_config.hh"
-#include "serve/json.hh"
 
 namespace hscd {
 namespace serve {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "obs/provenance.hh"
@@ -497,7 +498,6 @@ CampaignQueue::writeAggregate(Campaign &c)
     // field allowed to vary), the aggregate depends only on the
     // submission - which is what lets the chaos harness demand
     // byte-identical output across kill -9 interruptions.
-    using obs::jsonEscape;
     obs::Provenance prov;
     prov.schema = "hscd-serve-campaign";
     prov.tool = "hscd_serve";

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "obs/provenance.hh"
@@ -23,7 +24,7 @@ rejected(const std::string &error)
 {
     return csprintf("{\"ok\": false, \"status\": \"rejected\", "
                     "\"error\": \"%s\"}",
-                    obs::jsonEscape(error));
+                    jsonEscape(error));
 }
 
 /** Single-line provenance object (NDJSON responses must be one line). */
@@ -274,15 +275,22 @@ Server::handleRequestLine(const std::string &line)
         // become a structured response, not a dead connection thread.
         return csprintf("{\"ok\": false, \"status\": \"internal\", "
                         "\"error\": \"%s\"}",
-                        obs::jsonEscape(e.what()));
+                        jsonEscape(e.what()));
     }
 }
 
 std::string
 Server::dispatchRequest(const std::string &line)
 {
+    // A hard input bound keeps a hostile client from feeding the
+    // parser an unbounded allocation through one request line.
+    constexpr std::size_t kMaxRequestBytes = 8u << 20;
     JsonValue req;
     std::string error;
+    if (line.size() > kMaxRequestBytes) {
+        _queue->noteRejected();
+        return rejected("bad JSON: input too large");
+    }
     if (!parseJson(line, req, error)) {
         _queue->noteRejected();
         return rejected("bad JSON: " + error);
@@ -319,7 +327,7 @@ Server::dispatchRequest(const std::string &line)
             return csprintf("{\"ok\": false, \"status\": \"shed\", "
                             "\"retry\": true, \"id\": \"%016x\", "
                             "\"error\": \"%s\"}",
-                            adm.id, obs::jsonEscape(adm.error));
+                            adm.id, jsonEscape(adm.error));
         }
     }
 
@@ -348,7 +356,7 @@ Server::dispatchRequest(const std::string &line)
             st.errors);
         if (!st.resultPath.empty())
             resp += csprintf(", \"result\": \"%s\"",
-                             obs::jsonEscape(st.resultPath));
+                             jsonEscape(st.resultPath));
         return resp + "}";
     }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <queue>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hh"
@@ -41,24 +42,20 @@ RunResult::fingerprint() const
             h *= 0x100000001b3ULL;
         }
     };
-    auto mixd = [&](double d) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(d));
-        std::memcpy(&bits, &d, sizeof(bits));
-        mix(bits);
+    // Doubles mix by bit pattern, everything else by value.
+    auto mixScalar = [&](auto v) {
+        if constexpr (std::is_same_v<decltype(v), double>) {
+            std::uint64_t bits;
+            static_assert(sizeof(bits) == sizeof(v));
+            std::memcpy(&bits, &v, sizeof(bits));
+            mix(bits);
+        } else {
+            mix(v);
+        }
     };
-    mix(cycles); mix(epochs); mix(parallelEpochs); mix(tasks);
-    mix(reads); mix(writes); mix(readHits); mix(readMisses);
-    mixd(readMissRate); mixd(avgMissLatency);
-    mix(missCold); mix(missReplacement); mix(missTrueShare);
-    mix(missFalseShare); mix(missConservative); mix(missTagReset);
-    mix(missUncached);
-    mix(timeReads); mix(timeReadHits); mix(bypassReads);
-    mix(readPackets); mix(writePackets); mix(coherencePackets);
-    mix(writebackPackets); mix(readWords); mix(writeWords);
-    mix(writebackWords); mix(trafficPackets); mix(trafficWords);
-    mix(busyMax); mixd(busyAvg); mix(serialCycles);
-    mix(oracleViolations); mix(doallViolations);
+#define HSCD_RUN_RESULT_MIX(member, key, kind) mixScalar(member);
+    HSCD_RUN_RESULT_SCALARS(HSCD_RUN_RESULT_MIX)
+#undef HSCD_RUN_RESULT_MIX
     mix(firstViolations.size());
     for (const OracleViolation &v : firstViolations) {
         mix(v.addr); mix(v.ref); mix(v.seen); mix(v.expected);
@@ -104,6 +101,45 @@ RunResult::summary() const
         s += csprintf(" ABORTED(%s: %s)", fault::abortKindName(abort.kind),
                       abort.reason);
     return s;
+}
+
+void
+harvestCounters(RunResult &r, Cycles end, const std::vector<Cycles> &busy,
+                Cycles parallelWall, const mem::CoherenceScheme &scheme,
+                const net::Network &network,
+                const fault::FaultInjector *faults)
+{
+    const mem::SchemeStats &st = scheme.stats();
+#define HSCD_HARVEST_u64(member)
+#define HSCD_HARVEST_f64(member)
+#define HSCD_HARVEST_stat(member) r.member = st.member.value();
+#define HSCD_RUN_RESULT_HARVEST(member, key, kind) HSCD_HARVEST_##kind(member)
+    HSCD_RUN_RESULT_SCALARS(HSCD_RUN_RESULT_HARVEST)
+#undef HSCD_RUN_RESULT_HARVEST
+#undef HSCD_HARVEST_stat
+#undef HSCD_HARVEST_f64
+#undef HSCD_HARVEST_u64
+    r.cycles = end;
+    r.readMissRate = scheme.readMissRate();
+    r.avgMissLatency = st.missLatency.mean();
+    r.trafficPackets = network.totalPackets();
+    r.trafficWords = network.totalWords();
+
+    Cycles busy_sum = 0;
+    r.busyMax = 0;
+    for (Cycles b : busy) {
+        r.busyMax = std::max(r.busyMax, b);
+        busy_sum += b;
+    }
+    r.busyAvg = double(busy_sum) / double(busy.size());
+    r.serialCycles = end > parallelWall ? end - parallelWall : 0;
+
+    if (faults) {
+        const fault::FaultStats &fs = faults->stats();
+        r.faultsInjected = fs.totalInjected();
+        r.faultsRecovered = fs.recovered;
+        r.faultRetries = fs.retries;
+    }
 }
 
 /**
@@ -582,7 +618,6 @@ class Executor
             t = std::max(t, _scheme.writeDrainTime(p));
         }
         _m._network.endWindow(t);
-        _res.cycles = t;
 
         if (_tl && !_spansEmitted && _procTime[_serialProc] > _epochStartT) {
             // Trailing serial region (the program ends without a final
@@ -591,48 +626,8 @@ class Executor
                           _procTime[_serialProc]);
         }
 
-        const mem::SchemeStats &st = _scheme.stats();
-        _res.reads = st.reads.value();
-        _res.writes = st.writes.value();
-        _res.readHits = st.readHits.value();
-        _res.readMisses = st.readMisses.value();
-        _res.readMissRate = _scheme.readMissRate();
-        _res.avgMissLatency = st.missLatency.mean();
-        _res.missCold = st.missCold.value();
-        _res.missReplacement = st.missReplacement.value();
-        _res.missTrueShare = st.missTrueShare.value();
-        _res.missFalseShare = st.missFalseShare.value();
-        _res.missConservative = st.missConservative.value();
-        _res.missTagReset = st.missTagReset.value();
-        _res.missUncached = st.missUncached.value();
-        _res.timeReads = st.timeReads.value();
-        _res.timeReadHits = st.timeReadHits.value();
-        _res.bypassReads = st.bypassReads.value();
-        _res.readPackets = st.readPackets.value();
-        _res.writePackets = st.writePackets.value();
-        _res.coherencePackets = st.coherencePackets.value();
-        _res.writebackPackets = st.writebackPackets.value();
-        _res.readWords = st.readWords.value();
-        _res.writeWords = st.writeWords.value();
-        _res.writebackWords = st.writebackWords.value();
-        _res.trafficPackets = _m._network.totalPackets();
-        _res.trafficWords = _m._network.totalWords();
-
-        Cycles busy_sum = 0;
-        for (ProcId p = 0; p < _cfg.procs; ++p) {
-            _res.busyMax = std::max(_res.busyMax, _busy[p]);
-            busy_sum += _busy[p];
-        }
-        _res.busyAvg = double(busy_sum) / double(_cfg.procs);
-        _res.serialCycles =
-            _res.cycles > _parallelWall ? _res.cycles - _parallelWall : 0;
-
-        if (const fault::FaultInjector *inj = _m._faultInjector.get()) {
-            const fault::FaultStats &fs = inj->stats();
-            _res.faultsInjected = fs.totalInjected();
-            _res.faultsRecovered = fs.recovered;
-            _res.faultRetries = fs.retries;
-        }
+        harvestCounters(_res, t, _busy, _parallelWall, _scheme, _m._network,
+                        _m._faultInjector.get());
     }
 
     /** DOALL legality: cross-task same-word conflicts are data races. */
@@ -709,12 +704,8 @@ class Executor
         if (!op.write) {
             ValueStamp expected = _lastStamp[op.addr / 4];
             if (res.observed != expected) {
-                ++_res.oracleViolations;
-                if (_res.firstViolations.size() < 8) {
-                    _res.firstViolations.push_back(OracleViolation{
-                        op.addr, op.ref, res.observed, expected, _epoch,
-                        proc});
-                }
+                _res.noteViolation(OracleViolation{
+                    op.addr, op.ref, res.observed, expected, _epoch, proc});
             }
             // Shadow-epoch race detector: a genuine cache hit must
             // observe the freshest value ever written to the word; a
@@ -723,13 +714,10 @@ class Executor
             if (_cfg.shadowEpochCheck && res.hit &&
                 res.observed != expected)
             {
-                ++_res.shadowViolations;
-                if (_res.firstShadowViolations.size() < 8) {
-                    _res.firstShadowViolations.push_back(ShadowViolation{
-                        op.addr, op.ref, proc, _epoch,
-                        _shadowWriterProc[op.addr / 4],
-                        _shadowWriterEpoch[op.addr / 4]});
-                }
+                _res.noteShadowViolation(ShadowViolation{
+                    op.addr, op.ref, proc, _epoch,
+                    _shadowWriterProc[op.addr / 4],
+                    _shadowWriterEpoch[op.addr / 4]});
             }
         }
     }

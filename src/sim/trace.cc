@@ -133,7 +133,7 @@ readTrace(std::istream &is)
     return out;
 }
 
-ReplayResult
+RunResult
 replayTrace(const std::vector<TraceRecord> &records,
             const MachineConfig &cfg, Addr data_bytes, TraceSink *sink,
             const std::vector<fault::ScriptedFault> *script)
@@ -153,8 +153,11 @@ replayTrace(const std::vector<TraceRecord> &records,
         scheme->setFaultInjector(injector.get());
     }
 
-    ReplayResult out;
+    RunResult out;
     std::vector<Cycles> clock(cfg.procs, 0);
+    std::vector<Cycles> busy(cfg.procs, 0);
+    // The executor's value oracle: the last stamp written per word.
+    std::vector<mem::ValueStamp> lastStamp(memory.words(), 0);
     EpochId epoch = 0;
     try {
         for (const TraceRecord &r : records) {
@@ -177,6 +180,9 @@ replayTrace(const std::vector<TraceRecord> &records,
             hscd_assert(op.proc < cfg.procs,
                         "trace targets processor %d beyond the machine",
                         op.proc);
+            hscd_assert(op.addr / 4 < lastStamp.size(),
+                        "trace address %d beyond %d data bytes", op.addr,
+                        data_bytes);
             op.now = clock[op.proc];
             if (sink)
                 sink->onAccess(op);
@@ -184,21 +190,24 @@ replayTrace(const std::vector<TraceRecord> &records,
             if (sink)
                 sink->onOutcome(op, res, epoch);
             clock[op.proc] += res.stall;
+            busy[op.proc] += res.stall;
+            mem::ValueStamp &last = lastStamp[op.addr / 4];
+            if (op.write)
+                last = op.stamp;
+            else if (res.observed != last)
+                out.noteViolation(OracleViolation{
+                    op.addr, hir::invalidRef, res.observed, last, epoch,
+                    op.proc});
         }
     } catch (const fault::RunAbort &abort) {
         out.abort = abort.info;
     }
 
-    const mem::SchemeStats &st = scheme->stats();
-    out.reads = st.reads.value();
-    out.writes = st.writes.value();
-    out.readMisses = st.readMisses.value();
-    out.readMissRate = scheme->readMissRate();
-    out.missConservative = st.missConservative.value();
-    out.missFalseShare = st.missFalseShare.value();
-    out.trafficWords = network.totalWords();
+    // A trace has no serial code: every cycle is parallel time.
+    Cycles end = 0;
     for (Cycles c : clock)
-        out.cycles = std::max(out.cycles, c);
+        end = std::max(end, c);
+    harvestCounters(out, end, busy, end, *scheme, network, injector.get());
     return out;
 }
 

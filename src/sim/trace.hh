@@ -83,26 +83,14 @@ struct ParsedTrace
 };
 ParsedTrace readTrace(std::istream &is);
 
-/** Outcome of a trace replay. */
-struct ReplayResult
-{
-    Counter reads = 0;
-    Counter writes = 0;
-    Counter readMisses = 0;
-    double readMissRate = 0;
-    Counter missConservative = 0;
-    Counter missFalseShare = 0;
-    Counter trafficWords = 0;
-    Cycles cycles = 0;
-    /** Structured abort that ended the replay early (kind None if not). */
-    fault::AbortInfo abort;
-
-    bool aborted() const { return abort.aborted(); }
-};
-
 /**
  * Drive @p cfg's scheme with a recorded trace. Per-processor clocks
  * advance by each access's stall; boundaries synchronize all clocks.
+ * The result carries every counter the execution-driven engine
+ * harvests (sim::harvestCounters) except the program-structure ones
+ * (epochs, parallelEpochs, tasks), and the same value-stamp oracle: a
+ * read that observes anything but the last stamp written to its word
+ * counts in oracleViolations / firstViolations.
  *
  * When @p sink is non-null it receives every record as it replays plus
  * the scheme's verdict for each access via TraceSink::onOutcome — the
@@ -114,9 +102,9 @@ struct ReplayResult
  * normally rate 0) is attached to the scheme, so a replay reproduces a
  * fault scenario at precise injection opportunities. A structured abort
  * (retry exhaustion) ends the replay early and is reported in
- * ReplayResult::abort rather than thrown.
+ * RunResult::abort rather than thrown.
  */
-ReplayResult replayTrace(const std::vector<TraceRecord> &records,
+RunResult replayTrace(const std::vector<TraceRecord> &records,
                          const MachineConfig &cfg, Addr data_bytes,
                          TraceSink *sink = nullptr,
                          const std::vector<fault::ScriptedFault> *script =

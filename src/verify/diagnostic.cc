@@ -1,5 +1,6 @@
 #include "verify/diagnostic.hh"
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "verify/catalog.hh"
@@ -88,39 +89,6 @@ DiagnosticEngine::renderText() const
     out += csprintf("%s: %d error(s), %d warning(s), %d note(s)\n",
                     _program.empty() ? "<program>" : _program, errors(),
                     warnings(), notes());
-    return out;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x", static_cast<int>(c));
-            else
-                out += c;
-            break;
-        }
-    }
     return out;
 }
 

@@ -144,9 +144,6 @@ class DiagnosticEngine
     std::vector<Diagnostic> _diags;
 };
 
-/** Escape a string for embedding in a JSON literal (no quotes added). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace verify
 } // namespace hscd
 

@@ -1,5 +1,6 @@
 #include "verify/sarif.hh"
 
+#include "common/json.hh"
 #include "common/strutil.hh"
 #include "verify/catalog.hh"
 

@@ -244,21 +244,9 @@ runTrace(const TraceWorkload &t, const MachineConfig &cfg_in,
     MachineConfig cfg = cfg_in;
     if (cfg.procs < t.procs)
         cfg.procs = t.procs;
-    sim::ReplayResult rr =
+    sim::RunResult out =
         sim::replayTrace(t.records, cfg, t.dataBytes, sink);
-
-    sim::RunResult out;
-    out.cycles = rr.cycles;
     out.epochs = t.epochs;
-    out.reads = rr.reads;
-    out.writes = rr.writes;
-    out.readMisses = rr.readMisses;
-    out.readHits = rr.reads - rr.readMisses;
-    out.readMissRate = rr.readMissRate;
-    out.missConservative = rr.missConservative;
-    out.missFalseShare = rr.missFalseShare;
-    out.trafficWords = rr.trafficWords;
-    out.abort = rr.abort;
     return out;
 }
 

@@ -70,8 +70,9 @@ TraceWorkload loadTraceFile(const std::string &path);
 TraceWorkload loadTraceSpec(const std::string &spec);
 
 /**
- * Replay @p t under @p cfg's scheme and return sweep-compatible
- * counters. The machine is widened to the trace's processor count if
+ * Replay @p t under @p cfg's scheme (sim::replayTrace, value oracle
+ * included) and return its counters with epochs set to the trace's
+ * epoch count. The machine is widened to the trace's processor count if
  * needed; byte-identical output for the same (trace, cfg) at any
  * thread count. @p sink (optional) receives every record plus the
  * scheme's verdict, for hscd_inspect-style attribution.

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "compiler/analysis.hh"
@@ -309,7 +310,7 @@ TEST(Provenance, HashAndEscapePrimitives)
     EXPECT_EQ(obs::fnv1a("a"), 0xaf63dc4c8601ec8cull);
     EXPECT_NE(obs::fnv1a("ab"), obs::fnv1a("ba"));
 
-    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
-    EXPECT_EQ(obs::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
 }

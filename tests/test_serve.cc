@@ -19,14 +19,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "harness.hh"
 #include "serve/journal.hh"
-#include "serve/json.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/server.hh"
@@ -201,6 +202,129 @@ TEST(ServeJournal, ResultTokensRoundTripBitExactly)
     sim::RunResult back;
     ASSERT_TRUE(decodeResult(tr, back));
     EXPECT_EQ(back, r); // bit-exact via doubleBits
+}
+
+namespace {
+
+/**
+ * A value for the @p i-th listed counter, distinct from every other
+ * field's and exact as a double (the shared JSON parser holds numbers
+ * as doubles, so integers must stay below 2^53).
+ */
+template <class T>
+void
+setDistinct(T &v, std::uint64_t i)
+{
+    if constexpr (std::is_same_v<T, double>)
+        v = double(i) + 1.0 / 3.0;
+    else
+        v = (std::uint64_t{1} << 52) + i * 0x10001;
+}
+
+/** A result with every listed counter and every hand-written field set. */
+sim::RunResult
+everyFieldSet()
+{
+    sim::RunResult r;
+    std::uint64_t i = 0;
+#define HSCD_TEST_FILL(member, key, kind) setDistinct(r.member, ++i);
+    HSCD_RUN_RESULT_SCALARS(HSCD_TEST_FILL)
+#undef HSCD_TEST_FILL
+    r.firstViolations.push_back({64, 3, 5, 6, 2, 1});
+    r.shadowViolations = 2;
+    r.firstShadowViolations.push_back({68, 4, 1, 2, 0, 1});
+    r.abort.kind = fault::AbortKind::Watchdog;
+    r.abort.reason = "stalled \"here\"\r\n";
+    r.abort.cycle = 77;
+    r.abort.epoch = 3;
+    r.abort.proc = 2;
+    r.abort.snapshot = "proc 2 parked";
+    r.faultsInjected = 5;
+    r.faultsRecovered = 4;
+    r.faultRetries = 9;
+    return r;
+}
+
+} // namespace
+
+// The counter list is the schema: every entry must survive the journal
+// bit-exactly, appear in the cell JSON under its key with its value,
+// and feed the fingerprint.
+TEST(ServeJournal, EveryListedCounterRoundTripsAndFingerprints)
+{
+    const sim::RunResult r = everyFieldSet();
+
+    std::ostringstream enc;
+    encodeResult(enc, r);
+    TokenReader tr(enc.str());
+    sim::RunResult back;
+    ASSERT_TRUE(decodeResult(tr, back));
+    EXPECT_TRUE(tr.atEnd());
+    EXPECT_EQ(back, r);
+    EXPECT_EQ(back.fingerprint(), r.fingerprint());
+
+    std::ostringstream cell;
+    writeResultCellJson(cell, r, "");
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson("{\n" + cell.str() + "\n}", doc, err)) << err;
+    std::size_t keys = 0;
+#define HSCD_TEST_JSON(member, key, kind)                                    \
+    {                                                                        \
+        const JsonValue *v = doc.get(key);                                   \
+        ASSERT_TRUE(v && v->isNumber()) << key;                              \
+        EXPECT_EQ(v->number, static_cast<double>(r.member)) << key;          \
+        ++keys;                                                              \
+    }
+    HSCD_RUN_RESULT_SCALARS(HSCD_TEST_JSON)
+#undef HSCD_TEST_JSON
+    EXPECT_EQ(keys, 34u);
+    EXPECT_EQ(doc.get("fingerprint")->asString(),
+              csprintf("%016x", r.fingerprint()));
+    EXPECT_EQ(doc.get("abort")->get("reason")->asString(), r.abort.reason);
+
+    const std::uint64_t fp = r.fingerprint();
+#define HSCD_TEST_PERTURB(member, key, kind)                                 \
+    {                                                                        \
+        sim::RunResult p = r;                                                \
+        p.member += 1;                                                       \
+        EXPECT_NE(p.fingerprint(), fp) << key;                               \
+    }
+    HSCD_RUN_RESULT_SCALARS(HSCD_TEST_PERTURB)
+#undef HSCD_TEST_PERTURB
+}
+
+TEST(ServeJournal, DecodeRejectsUnknownAbortKind)
+{
+    // A record ends with the abort kind, reason, cycle, epoch, proc and
+    // snapshot, then the three fault counters.
+    std::ostringstream os;
+    encodeResult(os, sim::RunResult());
+    std::vector<std::string> toks;
+    std::istringstream split(os.str());
+    for (std::string t; split >> t;)
+        toks.push_back(t);
+    ASSERT_GT(toks.size(), 9u);
+    const std::size_t kindAt = toks.size() - 9;
+    ASSERT_EQ(toks[kindAt], "0");
+    ASSERT_EQ(toks[kindAt + 1], "-");
+
+    auto decodesWithKind = [&](const std::string &kind) {
+        std::vector<std::string> line = toks;
+        line[kindAt] = kind;
+        std::string text;
+        for (const std::string &t : line)
+            text += ' ' + t;
+        TokenReader tr(text);
+        sim::RunResult r;
+        return decodeResult(tr, r) && tr.atEnd();
+    };
+    EXPECT_TRUE(decodesWithKind("3")); // Deadlock, the last real kind
+    // A corrupt kind is a torn line, never a result that later panics
+    // in abortKindName() when the cell JSON is written.
+    EXPECT_FALSE(decodesWithKind("4"));
+    EXPECT_FALSE(decodesWithKind("9"));
+    EXPECT_FALSE(decodesWithKind("255"));
 }
 
 // --- protocol ----------------------------------------------------------

@@ -91,7 +91,7 @@ TEST(Trace, ReplayReproducesMissCounts)
          {SchemeKind::SC, SchemeKind::TPI, SchemeKind::HW})
     {
         Captured c = capture(k);
-        ReplayResult r = replayTrace(c.records, c.cfg, c.dataBytes);
+        RunResult r = replayTrace(c.records, c.cfg, c.dataBytes);
         EXPECT_EQ(r.reads, c.run.reads) << schemeName(k);
         EXPECT_EQ(r.writes, c.run.writes) << schemeName(k);
         EXPECT_EQ(r.readMisses, c.run.readMisses) << schemeName(k);
@@ -109,19 +109,19 @@ TEST(Trace, CrossSchemeReplay)
     Captured c = capture(SchemeKind::TPI);
     MachineConfig hw = c.cfg;
     hw.scheme = SchemeKind::HW;
-    ReplayResult rh = replayTrace(c.records, hw, c.dataBytes);
+    RunResult rh = replayTrace(c.records, hw, c.dataBytes);
     EXPECT_EQ(rh.reads, c.run.reads);
     EXPECT_GT(rh.readMisses, 0u);
 
     MachineConfig sc = c.cfg;
     sc.scheme = SchemeKind::SC;
-    ReplayResult rs = replayTrace(c.records, sc, c.dataBytes);
+    RunResult rs = replayTrace(c.records, sc, c.dataBytes);
     EXPECT_GE(rs.readMisses, c.run.readMisses)
         << "SC cannot beat TPI on the same marked trace";
 
     MachineConfig vc = c.cfg;
     vc.scheme = SchemeKind::VC;
-    ReplayResult rv = replayTrace(c.records, vc, c.dataBytes);
+    RunResult rv = replayTrace(c.records, vc, c.dataBytes);
     EXPECT_EQ(rv.reads, c.run.reads)
         << "traces carry the array ids the VC scheme needs";
 }
@@ -174,8 +174,8 @@ TEST(Trace, RoundTripPropertyOverGenPrograms)
 
         // Replaying the parsed trace equals replaying the capture, and
         // both reproduce the execution-driven run's miss counts.
-        ReplayResult ro = replayTrace(captured, cfg, parsed.dataBytes);
-        ReplayResult rp = replayTrace(parsed.records, cfg, parsed.dataBytes);
+        RunResult ro = replayTrace(captured, cfg, parsed.dataBytes);
+        RunResult rp = replayTrace(parsed.records, cfg, parsed.dataBytes);
         EXPECT_EQ(ro.reads, rp.reads) << "gen:" << seed;
         EXPECT_EQ(ro.writes, rp.writes) << "gen:" << seed;
         EXPECT_EQ(ro.readMisses, rp.readMisses) << "gen:" << seed;
@@ -267,7 +267,7 @@ TEST(Trace, EmptyBodyIsFine)
     EXPECT_TRUE(p.records.empty());
     MachineConfig cfg;
     cfg.procs = 4;
-    ReplayResult r = replayTrace(p.records, cfg, p.dataBytes);
+    RunResult r = replayTrace(p.records, cfg, p.dataBytes);
     EXPECT_EQ(r.reads, 0u);
     EXPECT_EQ(r.cycles, 0u);
 }
@@ -278,4 +278,14 @@ TEST(Trace, ReplayRejectsOutOfRangeProcessor)
     MachineConfig tiny = c.cfg;
     tiny.procs = 1;
     EXPECT_THROW(replayTrace(c.records, tiny, c.dataBytes), PanicError);
+}
+
+TEST(Trace, ReplayRejectsOutOfRangeAddress)
+{
+    // The header promises 64 data bytes; word 1024 lies far beyond.
+    std::istringstream in("H hscd-trace 1 1 64\nA 0 4096 0 R n 0 0 0\n");
+    ParsedTrace p = readTrace(in);
+    MachineConfig cfg;
+    cfg.procs = 1;
+    EXPECT_THROW(replayTrace(p.records, cfg, p.dataBytes), PanicError);
 }

@@ -290,3 +290,56 @@ TEST(TraceReplay, NarrowConfigWidenedToTraceProcs)
     EXPECT_FALSE(r.abort.aborted());
     EXPECT_EQ(r.reads, t.reads);
 }
+
+// ---------------------------------------------------------------------
+// Oracle gate: replay applies the executor's value-stamp rule, so a
+// read that misses the last write to its word is a counted violation.
+
+TEST(TraceReplay, OracleFlagsStaleReadUnderConservativeStub)
+{
+    // P1 caches word 0; P0 overwrites it in the same epoch, with no
+    // boundary to separate the dependence, so the distance-0 stub lets
+    // TPI and VC serve P1's stale copy. BASE never caches shared data,
+    // SC refetches every marked read, and HW's directory invalidates
+    // the copy on the write.
+    const TraceWorkload t =
+        parseTraceText("procs 2\n1 0 r\n0 0 w\n1 0 r\n", "stale.trace");
+    for (SchemeKind k : kAllSchemes) {
+        MachineConfig cfg;
+        cfg.scheme = k;
+        cfg.procs = 2;
+        const sim::RunResult r = runTrace(t, cfg);
+        const bool stale = k == SchemeKind::TPI || k == SchemeKind::VC;
+        EXPECT_EQ(r.oracleViolations, stale ? 1u : 0u) << schemeName(k);
+        ASSERT_EQ(r.firstViolations.size(), r.oracleViolations)
+            << schemeName(k);
+        if (stale) {
+            const sim::OracleViolation &v = r.firstViolations[0];
+            EXPECT_EQ(v.addr, 0u);
+            EXPECT_EQ(v.proc, 1u);
+            EXPECT_EQ(v.expected, 1u); // the trace's first write stamp
+            EXPECT_NE(v.seen, v.expected);
+        }
+    }
+}
+
+TEST(TraceReplay, SampleTraceIsOracleCleanAndCountsEverything)
+{
+    TraceWorkload t = loadTraceSpec("trace:" + samplePath());
+    for (SchemeKind k : kAllSchemes) {
+        MachineConfig cfg;
+        cfg.scheme = k;
+        cfg.procs = 4;
+        const sim::RunResult r = runTrace(t, cfg);
+        EXPECT_EQ(r.oracleViolations, 0u) << schemeName(k);
+        EXPECT_TRUE(r.firstViolations.empty()) << schemeName(k);
+        EXPECT_EQ(r.readHits + r.readMisses, r.reads) << schemeName(k);
+    }
+    // Counters replay used to drop: cold misses and read packets.
+    MachineConfig hw;
+    hw.scheme = SchemeKind::HW;
+    hw.procs = 4;
+    const sim::RunResult r = runTrace(t, hw);
+    EXPECT_GT(r.missCold, 0u);
+    EXPECT_GT(r.readPackets, 0u);
+}

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/parallel.hh"
 #include "compiler/analysis.hh"
 #include "hir/builder.hh"
@@ -75,10 +76,11 @@ TEST(Diagnostics, TextRenderingIsStable)
 
 TEST(Diagnostics, JsonEscaping)
 {
-    EXPECT_EQ(verify::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(verify::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(verify::jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(verify::jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
+    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(Diagnostics, JsonSchema)

@@ -43,13 +43,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/strutil.hh"
 #include "fault/plan.hh"
 #include "obs/provenance.hh"
 #include "program_gen.hh"
-#include "serve/json.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
 #include "sim/machine.hh"
@@ -318,7 +318,7 @@ writeJsonReport(const CliOptions &opt,
     os << csprintf("  \"seeds\": %d,\n  \"seed_base\": %d,\n"
                    "  \"scale\": %d,\n  \"sites\": \"%s\",\n",
                    int(opt.seeds), int(opt.seedBase), opt.scale,
-                   obs::jsonEscape(opt.sitesSpec).c_str());
+                   jsonEscape(opt.sitesSpec).c_str());
     os << "  \"rows\": [\n";
     bool first = true;
     for (double rate : opt.rates) {
@@ -545,13 +545,13 @@ class ServerHandle
     }
 
     /** One request line -> one parsed response. */
-    bool rpc(const std::string &req, serve::JsonValue &resp)
+    bool rpc(const std::string &req, JsonValue &resp)
     {
         std::string line;
         if (!_ch || !_ch->writeLine(req) || !_ch->readLine(line))
             return false;
         std::string error;
-        return serve::parseJson(line, resp, error);
+        return parseJson(line, resp, error);
     }
 
     /** Signal the child and reap it. Returns the wait status. */
@@ -629,19 +629,19 @@ PollState
 poll(ServerHandle &server, const std::string &idHex)
 {
     PollState st;
-    serve::JsonValue resp;
+    JsonValue resp;
     if (!server.rpc(csprintf("{\"op\": \"poll\", \"id\": \"%s\"}", idHex),
                     resp))
         return st;
-    const serve::JsonValue *ok = resp.get("ok");
+    const JsonValue *ok = resp.get("ok");
     if (!ok || !ok->isBool() || !ok->boolean)
         return st;
     st.ok = true;
-    if (const serve::JsonValue *d = resp.get("done"))
+    if (const JsonValue *d = resp.get("done"))
         st.done = static_cast<std::size_t>(d->number);
-    if (const serve::JsonValue *s = resp.get("status"))
+    if (const JsonValue *s = resp.get("status"))
         st.complete = s->text == "complete";
-    if (const serve::JsonValue *r = resp.get("result"))
+    if (const JsonValue *r = resp.get("result"))
         st.resultPath = r->text;
     return st;
 }
@@ -651,11 +651,11 @@ bool
 submit(ServerHandle &server, const serve::CampaignSpec &spec,
        std::string &id)
 {
-    serve::JsonValue resp;
+    JsonValue resp;
     if (!server.rpc(spec.toRequestJson(), resp))
         return false;
-    const serve::JsonValue *ok = resp.get("ok");
-    const serve::JsonValue *jid = resp.get("id");
+    const JsonValue *ok = resp.get("ok");
+    const JsonValue *jid = resp.get("id");
     if (!ok || !ok->isBool() || !ok->boolean || !jid || !jid->isString())
         return false;
     id = jid->text;
@@ -766,10 +766,10 @@ run(int argc, char **argv)
             }
             // Complete (possibly with fewer kills than asked for when
             // the campaign outran the schedule - report honestly).
-            serve::JsonValue stats;
+            JsonValue stats;
             if (server.rpc("{\"op\": \"stats\"}", stats)) {
-                if (const serve::JsonValue *c = stats.get("counters"))
-                    if (const serve::JsonValue *r =
+                if (const JsonValue *c = stats.get("counters"))
+                    if (const JsonValue *r =
                             c->get("cells_restored"))
                         restored = static_cast<std::uint64_t>(r->number);
             }
@@ -819,12 +819,12 @@ run(int argc, char **argv)
             return harnessFail("cannot start shed server");
         serve::CampaignSpec big = buildCampaign(opt);
         big.name = "chaos-shed"; // distinct identity from the real one
-        serve::JsonValue resp;
+        JsonValue resp;
         if (!server.rpc(big.toRequestJson(), resp))
             return harnessFail("shed rpc failed");
-        const serve::JsonValue *ok = resp.get("ok");
-        const serve::JsonValue *status = resp.get("status");
-        const serve::JsonValue *retry = resp.get("retry");
+        const JsonValue *ok = resp.get("ok");
+        const JsonValue *status = resp.get("status");
+        const JsonValue *retry = resp.get("retry");
         shedOk = ok && ok->isBool() && !ok->boolean && status &&
                  status->text == "shed" && retry && retry->isBool() &&
                  retry->boolean;
@@ -894,9 +894,9 @@ main(int argc, char **argv)
     }
 
     // One faulted run (or its fault-free reference when cfg.fault is
-    // disabled). Trace workloads replay through the scheme directly;
-    // they carry no value oracle, so corruption there surfaces as an
-    // abort or as differing work counts (the Silent check below).
+    // disabled). Trace workloads replay through the scheme directly,
+    // under the same value oracle as compiled programs; they have no
+    // shadow or DOALL checker.
     auto runOne = [&](const std::string &name, const MachineConfig &cfg) {
         auto t = traces.find(name);
         if (t != traces.end())

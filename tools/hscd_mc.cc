@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "fault/plan.hh"
@@ -207,7 +208,7 @@ writeJsonReport(const CliOptions &opt, const mc::ExploreResult &res,
         " \"sites\": \"%s\", \"critical\": %s, \"promote\": %s,"
         " \"symmetry\": %s},\n",
         m.procs, m.words, m.lineWords, m.timetagBits, m.horizon(),
-        m.opsPerEpoch, m.faultBudget, obs::jsonEscape(opt.sitesSpec),
+        m.opsPerEpoch, m.faultBudget, jsonEscape(opt.sitesSpec),
         m.allowCritical ? "true" : "false", m.promote ? "true" : "false",
         opt.symmetry ? "true" : "false");
     os << csprintf(
@@ -222,11 +223,11 @@ writeJsonReport(const CliOptions &opt, const mc::ExploreResult &res,
                        " \"detail\": \"%s\", \"replay_ok\": %s,"
                        " \"steps\": [",
                        mc::invariantName(res.cex->invariant),
-                       obs::jsonEscape(res.cex->detail),
+                       jsonEscape(res.cex->detail),
                        cexReplayOk ? "true" : "false");
         for (std::size_t i = 0; i < res.cex->path.size(); ++i)
             os << csprintf("%s\"%s\"", i ? ", " : "",
-                           obs::jsonEscape(res.cex->path[i].str()));
+                           jsonEscape(res.cex->path[i].str()));
         os << "]}";
     }
     os << "\n}\n";
