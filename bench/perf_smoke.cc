@@ -5,12 +5,19 @@
  *
  * Measures sustained simulated references per second for every scheme
  * on the P1 microbenchmark workload (fast path on) and compares against
- * the committed baseline in BENCH_p1.json. The first run - no baseline
- * file - writes one and only warns; afterwards the test fails when any
- * scheme drops more than 30% below its recorded rate, and ratchets the
- * baseline up when a run beats it. Rates are the best of several short
- * trials, and the ctest entry is RUN_SERIAL, so transient machine load
- * does not fail the gate.
+ * the baseline in BENCH_p1.json:
+ *
+ *   perf_smoke [PATH]           check only; never writes PATH
+ *   perf_smoke --record PATH    check, then record missing schemes and
+ *                               ratchet up rates a run beats by > 5%
+ *
+ * The check fails when any scheme drops more than 30% below its
+ * recorded rate; a scheme without a baseline (or no file at all) only
+ * warns. Checking never writes, so a test run cannot move its own floor
+ * (a lucky run would otherwise ratchet it up, and later runs flake
+ * against it). Rates are the best of several short trials, and the
+ * ctest entry is RUN_SERIAL, so transient machine load does not fail
+ * the gate.
  *
  * The file is a flat JSON object of "NAME": rate pairs, one per
  * scheme; an unreadable or malformed file counts as no baseline.
@@ -18,6 +25,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -160,7 +168,14 @@ obsOverheadPercent(const compiler::CompiledProgram &cp, int trials)
 int
 main(int argc, char **argv)
 {
-    const std::string path = argc > 1 ? argv[1] : "BENCH_p1.json";
+    const bool record = argc > 1 && std::strcmp(argv[1], "--record") == 0;
+    if (argc > 2 + record) {
+        std::fprintf(stderr, "usage: %s [--record] [BENCH_p1.json]\n",
+                     argv[0]);
+        return 2;
+    }
+    const std::string path =
+        argc > 1 + record ? argv[1 + record] : "BENCH_p1.json";
     compiler::CompiledProgram cp =
         compiler::compileProgram(workloads::microJacobi(256, 4));
 
@@ -175,8 +190,9 @@ main(int argc, char **argv)
         auto it = baseline.find(name);
         if (it == baseline.end()) {
             std::printf("perf_smoke: %-5s %12.0f refs/s (no baseline - "
-                        "recording)\n",
-                        name.c_str(), rate);
+                        "%s)\n",
+                        name.c_str(), rate,
+                        record ? "recording" : "not checked");
             next[name] = rate;
             continue;
         }
@@ -215,10 +231,17 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "perf_smoke: FAIL - at least one scheme is >%.0f%% "
                      "below its recorded refs/s baseline (%s). If the "
-                     "slowdown is intentional, delete the file and rerun "
-                     "to re-record.\n",
+                     "slowdown is intentional, delete the file and "
+                     "re-record it with --record.\n",
                      100.0 * (1.0 - kFailBelowFraction), path.c_str());
         return 1;
+    }
+    if (!record) {
+        if (next != baseline)
+            std::printf("perf_smoke: baseline %s left as is (check "
+                        "only; `perf_smoke --record %s` records)\n",
+                        path.c_str(), path.c_str());
+        return 0;
     }
     if (next != baseline && !writeBaseline(path, next))
         std::fprintf(stderr,

@@ -1,7 +1,7 @@
 #include "mc/explorer.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -41,14 +41,69 @@ pathTo(const std::vector<Node> &nodes, std::uint32_t id)
     return path;
 }
 
+/** splitmix64's output mixer. */
 std::uint64_t
-splitmix(std::uint64_t &x)
+mix(std::uint64_t z)
 {
-    std::uint64_t z = (x += 0x9e3779b97f4a7c15ull);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
 }
+
+std::uint64_t
+splitmix(std::uint64_t &x)
+{
+    return mix(x += 0x9e3779b97f4a7c15ull);
+}
+
+/**
+ * The visited set: canonical keys in a flat arena indexed by node id,
+ * found through an open-addressing table of node ids (id + 1; 0 marks
+ * an empty slot) with linear probing, doubled at load 1/2.
+ */
+class VisitedSet
+{
+  public:
+    VisitedSet() : _slots(1u << 12) {}
+
+    /** The slot that holds @p key's node or, if absent, where it goes. */
+    std::uint32_t &
+    slotFor(const PackedKey &key)
+    {
+        std::uint64_t h = 0;
+        for (std::uint64_t w : key.w)
+            h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+        h = mix(h);
+        const std::size_t mask = _slots.size() - 1;
+        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+            std::uint32_t &slot = _slots[i];
+            if (slot == 0 || _keys[slot - 1] == key)
+                return slot;
+        }
+    }
+
+    /** Record @p key as node _keys.size() in the empty @p slot. */
+    void
+    insert(std::uint32_t &slot, const PackedKey &key)
+    {
+        _keys.push_back(key);
+        slot = std::uint32_t(_keys.size());
+        if (2 * _keys.size() > _slots.size())
+            grow();
+    }
+
+  private:
+    void
+    grow()
+    {
+        _slots.assign(2 * _slots.size(), 0);
+        for (std::uint32_t id = 0; id < _keys.size(); ++id)
+            slotFor(_keys[id]) = id + 1;
+    }
+
+    std::vector<PackedKey> _keys;
+    std::vector<std::uint32_t> _slots;
+};
 
 } // namespace
 
@@ -58,10 +113,16 @@ explore(const McConfig &cfg, const ExploreOptions &opt)
     cfg.validate();
     ExploreResult res;
 
+    // Node ids and parent edges are 32-bit, and slot values are id + 1.
+    if (opt.maxStates > std::numeric_limits<std::uint32_t>::max())
+        fatal("mc: maxStates %d exceeds the 32-bit node id space",
+              opt.maxStates);
+
     std::vector<Node> nodes;
-    std::unordered_map<std::string, std::uint32_t> seen;
+    VisitedSet seen;
     nodes.push_back(Node{initialState(cfg), 0, 0, 0});
-    seen.emplace(canonicalKey(cfg, nodes[0].state, opt.symmetry), 0);
+    const PackedKey rootKey = canonicalKey(cfg, nodes[0].state, opt.symmetry);
+    seen.insert(seen.slotFor(rootKey), rootKey);
 
     std::vector<Action> acts;
     for (std::uint32_t head = 0; head < nodes.size(); ++head) {
@@ -101,10 +162,9 @@ explore(const McConfig &cfg, const ExploreOptions &opt)
                 return res;
             }
 
-            std::string key = canonicalKey(cfg, next, opt.symmetry);
-            auto [it, fresh] =
-                seen.emplace(std::move(key), std::uint32_t(nodes.size()));
-            if (!fresh)
+            const PackedKey key = canonicalKey(cfg, next, opt.symmetry);
+            std::uint32_t &slot = seen.slotFor(key);
+            if (slot != 0)
                 continue;
             if (nodes.size() >= opt.maxStates) {
                 res.hitStateCap = true;
@@ -113,6 +173,7 @@ explore(const McConfig &cfg, const ExploreOptions &opt)
             }
             nodes.push_back(Node{next, head, a.encode(),
                                  std::uint16_t(depth + 1)});
+            seen.insert(slot, key);
         }
     }
 

@@ -33,7 +33,8 @@ struct ExploreOptions
 {
     /** Canonicalize modulo processor permutation. */
     bool symmetry = true;
-    /** Abandon the search (verdict "bounded") past this many states. */
+    /** Abandon the search (verdict "bounded") past this many states.
+     *  At most UINT32_MAX (node ids are 32-bit); more is fatal(). */
     std::uint64_t maxStates = 8'000'000;
 };
 

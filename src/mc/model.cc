@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <compare>
 
 #include "common/log.hh"
 
@@ -602,65 +603,123 @@ enumerate(const McConfig &cfg, const State &s, std::vector<Action> &out)
     }
 }
 
-std::string
+namespace {
+
+static_assert(8 + 12 * kMaxWords <= 64 &&
+                  8 * kMaxWords + 3 * kMaxLines <= 64 &&
+                  4 * kMaxWords * kMaxProcs <= 64,
+              "mc: a key field outgrew its word");
+
+/** One processor's two key words. */
+struct ProcBlock
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    auto operator<=>(const ProcBlock &) const = default;
+};
+
+/**
+ * Processor @p p's share of the key. lo: opsLeft (8 bits), then per word
+ * 4 flag bits and the 8-bit age; hi: per word the 8-bit lastWriteAge,
+ * then per line present and the 2-bit history.
+ */
+ProcBlock
+procBlock(const McConfig &cfg, const State &s, unsigned p)
+{
+    ProcBlock b;
+    b.lo = s.opsLeft[p];
+    for (unsigned w = 0; w < cfg.words; ++w) {
+        const Copy &c = s.copy[p][w];
+        std::uint64_t bits = 0;
+        // Once the fault budget is spent an invalid word can never be
+        // resurrected: its retained tag/value bits are unreachable and
+        // fold into one canonical form.
+        if (c.valid || s.faultsLeft != 0 ||
+            !s.present[p][w / cfg.lineWords])
+        {
+            bits = std::uint64_t(c.valid | (c.tainted << 1) |
+                                 (c.stale << 2) | (c.faulted << 3)) |
+                   std::uint64_t(std::uint8_t(c.age)) << 4;
+        }
+        b.lo |= bits << (8 + 12 * w);
+        b.hi |= std::uint64_t(std::uint8_t(s.lastWriteAge[p][w])) << (8 * w);
+    }
+    for (unsigned l = 0; l < cfg.lines(); ++l)
+        b.hi |= std::uint64_t(s.present[p][l] |
+                              (unsigned(s.hist[p][l]) << 1))
+                << (8 * kMaxWords + 3 * l);
+    return b;
+}
+
+/**
+ * Processor @p p's footprint bits: bit (4w + k) * kMaxProcs is set when
+ * p is in mask k (writers, readers, bypasses, criticals) of word w.
+ * Shifting by a processor's position places it in the permuted masks.
+ */
+std::uint64_t
+footprintColumn(const McConfig &cfg, const State &s, unsigned p)
+{
+    std::uint64_t col = 0;
+    for (unsigned w = 0; w < cfg.words; ++w) {
+        const std::uint8_t m[4] = {s.writers[w], s.readers[w],
+                                   s.bypasses[w], s.criticals[w]};
+        for (unsigned k = 0; k < 4; ++k)
+            col |= std::uint64_t((m[k] >> p) & 1u)
+                   << ((4 * w + k) * kMaxProcs);
+    }
+    return col;
+}
+
+} // namespace
+
+PackedKey
 canonicalKey(const McConfig &cfg, const State &s, bool symmetry)
 {
     const unsigned P = cfg.procs;
-    std::array<std::uint8_t, kMaxProcs> perm;
-    for (unsigned i = 0; i < P; ++i)
-        perm[i] = std::uint8_t(i);
+    ProcBlock blocks[kMaxProcs];
+    std::uint64_t cols[kMaxProcs];
+    for (unsigned p = 0; p < P; ++p) {
+        blocks[p] = procBlock(cfg, s, p);
+        cols[p] = footprintColumn(cfg, s, p);
+    }
+    // Position i of a permutation holds processor perm[i].
+    auto masksOf = [&](const std::array<std::uint8_t, kMaxProcs> &perm) {
+        std::uint64_t m = 0;
+        for (unsigned i = 0; i < P; ++i)
+            m |= cols[perm[i]] << i;
+        return m;
+    };
 
-    std::string best;
-    std::string cur;
-    cur.reserve(8 + P * (2 + 3 * cfg.words + cfg.lines()) + 4 * cfg.words);
-    do {
-        cur.clear();
-        cur.push_back(char(s.epoch));
-        cur.push_back(char(s.aborted));
-        cur.push_back(char(s.faultsLeft));
-        for (unsigned i = 0; i < P; ++i) {
-            const unsigned p = perm[i];
-            cur.push_back(char(s.opsLeft[p]));
-            for (unsigned w = 0; w < cfg.words; ++w) {
-                const Copy &c = s.copy[p][w];
-                // Once the fault budget is spent an invalid word can
-                // never be resurrected: its retained tag/value bits are
-                // unreachable and fold into one canonical form.
-                if (!c.valid && s.faultsLeft == 0 &&
-                    s.present[p][w / cfg.lineWords])
-                {
-                    cur.push_back(0);
-                    cur.push_back(0);
-                    continue;
-                }
-                cur.push_back(char(c.valid | (c.tainted << 1) |
-                                   (c.stale << 2) | (c.faulted << 3)));
-                cur.push_back(char(c.age));
-            }
-            for (unsigned l = 0; l < cfg.lines(); ++l)
-                cur.push_back(char(s.present[p][l] |
-                                   (unsigned(s.hist[p][l]) << 1)));
-            for (unsigned w = 0; w < cfg.words; ++w)
-                cur.push_back(char(s.lastWriteAge[p][w]));
+    std::array<std::uint8_t, kMaxProcs> perm;
+    for (unsigned i = 0; i < kMaxProcs; ++i)
+        perm[i] = std::uint8_t(i);
+    std::array<std::uint8_t, kMaxProcs> best = perm;
+    std::uint64_t bestMasks = masksOf(perm);
+    while (symmetry &&
+           std::next_permutation(perm.begin(), perm.begin() + P))
+    {
+        auto cmp = std::strong_ordering::equal;
+        for (unsigned i = 0; i < P && cmp == 0; ++i)
+            cmp = blocks[perm[i]] <=> blocks[best[i]];
+        if (cmp > 0)
+            continue;
+        const std::uint64_t m = masksOf(perm);
+        if (cmp < 0 || m < bestMasks) {
+            best = perm;
+            bestMasks = m;
         }
-        for (unsigned w = 0; w < cfg.words; ++w) {
-            std::uint8_t m[4] = {};
-            for (unsigned i = 0; i < P; ++i) {
-                const unsigned p = perm[i];
-                m[0] |= std::uint8_t(((s.writers[w] >> p) & 1) << i);
-                m[1] |= std::uint8_t(((s.readers[w] >> p) & 1) << i);
-                m[2] |= std::uint8_t(((s.bypasses[w] >> p) & 1) << i);
-                m[3] |= std::uint8_t(((s.criticals[w] >> p) & 1) << i);
-            }
-            for (std::uint8_t v : m)
-                cur.push_back(char(v));
-        }
-        if (best.empty() || cur < best)
-            best = cur;
-        if (!symmetry)
-            break;
-    } while (std::next_permutation(perm.begin(), perm.begin() + P));
-    return best;
+    }
+
+    PackedKey key;
+    key.w[0] = std::uint64_t(s.epoch) | std::uint64_t(s.aborted) << 8 |
+               std::uint64_t(s.faultsLeft) << 16;
+    for (unsigned i = 0; i < P; ++i) {
+        key.w[1 + 2 * i] = blocks[best[i]].lo;
+        key.w[2 + 2 * i] = blocks[best[i]].hi;
+    }
+    key.w[PackedKey::kWords - 1] = bestMasks;
+    return key;
 }
 
 std::string

@@ -162,12 +162,33 @@ State initialState(const McConfig &cfg);
 bool isTerminal(const McConfig &cfg, const State &s);
 
 /**
- * Canonical dedup key: value-abstracted state bytes, minimized over all
- * processor permutations when @p symmetry is set (TPI treats processors
- * uniformly, so states equal up to renaming have isomorphic futures).
+ * Canonical dedup key: the value-abstracted state packed into fixed-width
+ * words, built on the stack. w[0] holds epoch, aborted and faultsLeft;
+ * each processor contributes one two-word block (opsLeft, per-word copy
+ * flags, age and lastWriteAge, per-line present and history) that
+ * depends on that processor alone; the last word holds the footprint
+ * masks. Every field keeps its full width, so the key is injective on
+ * the abstraction: the only information it drops is an invalid word of
+ * a resident line once faultsLeft == 0 (no fault can resurrect it, so
+ * its retained tag and value bits fold to one form). Cache-line aligned:
+ * a lookup that finds its key touches one line of the explorer's arena.
  */
-std::string canonicalKey(const McConfig &cfg, const State &s,
-                         bool symmetry);
+struct alignas(64) PackedKey
+{
+    static constexpr unsigned kWords = 2 + 2 * kMaxProcs;
+    std::uint64_t w[kWords] = {};
+
+    bool operator==(const PackedKey &) const = default;
+};
+
+/**
+ * The canonical key of @p s. With @p symmetry the processor blocks are
+ * placed in the order of the least permutation (blocks first, then the
+ * permuted footprint masks), so states equal up to processor renaming
+ * share a key (TPI treats processors uniformly, so such states have
+ * isomorphic futures).
+ */
+PackedKey canonicalKey(const McConfig &cfg, const State &s, bool symmetry);
 
 /** One guarded action. */
 struct Action

@@ -28,14 +28,23 @@
  *   hscd_mc --procs 3 --words 4 --bits 2 --json out.json
  *
  * Exit codes follow the verify::ExitCode contract: 0 clean exhaustive
- * verdict, 1 state-capped (not exhaustive), 2 usage error, 3 invariant
+ * verdict, 1 state-capped (not exhaustive), 2 usage error (including a
+ * --max-states above the explorer's 32-bit node id space), 3 invariant
  * violation or model/implementation divergence, 5 harness error.
+ *
+ * Host cost: the explore's wall time, thread CPU time and states per
+ * CPU-second are printed and written to the JSON report as its "host"
+ * object. "host" is the only JSON content that varies between
+ * identical runs; everything else is a pure function of the options.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -87,7 +96,8 @@ usage(const char *argv0)
         "  --no-critical   skip lock-ordered (critical) writes\n"
         "  --no-promote    model tpiPromoteOnHit=false machines\n"
         "  --no-symmetry   disable processor symmetry reduction\n"
-        "  --max-states N  abandon past N states (default 8000000)\n"
+        "  --max-states N  abandon past N states (default 8000000,\n"
+        "                  at most 4294967295)\n"
         "  --xcheck N      random full paths replayed on the real scheme\n"
         "                  (default 32; 0 disables)\n"
         "  --json PATH     write a machine-readable verdict to PATH\n"
@@ -110,13 +120,19 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Every count fits 32 bits: explorer node ids are uint32_t, and
+        // a larger double would not convert to an integer defined.
         auto number = [&](const char *flag) {
             const std::string v = value(flag);
+            constexpr double kMax =
+                std::numeric_limits<std::uint32_t>::max();
             char *end = nullptr;
             double d = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || d < 0) {
-                std::fprintf(stderr, "%s: bad %s value '%s'\n", argv[0],
-                             flag, v.c_str());
+            if (end == v.c_str() || *end != '\0' ||
+                !(d >= 0 && d <= kMax))
+            {
+                std::fprintf(stderr, "%s: bad %s value '%s' (0..%.0f)\n",
+                             argv[0], flag, v.c_str(), kMax);
                 std::exit(verify::ExitUsage);
             }
             return d;
@@ -170,6 +186,22 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
+/** Host cost of the exploration (the only run-to-run varying output). */
+struct HostCost
+{
+    double wallMs = 0;
+    double cpuMs = 0;
+    double statesPerS = 0; ///< states per thread-CPU second
+};
+
+double
+clockMs(clockid_t clock)
+{
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return double(ts.tv_sec) * 1e3 + double(ts.tv_nsec) * 1e-6;
+}
+
 struct XcheckTally
 {
     std::uint64_t paths = 0;
@@ -180,8 +212,8 @@ struct XcheckTally
 
 void
 writeJsonReport(const CliOptions &opt, const mc::ExploreResult &res,
-                const XcheckTally &xc, const char *verdict,
-                bool cexReplayOk)
+                const HostCost &host, const XcheckTally &xc,
+                const char *verdict, bool cexReplayOk)
 {
     std::ofstream os(opt.jsonPath);
     if (!os) {
@@ -195,7 +227,7 @@ writeJsonReport(const CliOptions &opt, const mc::ExploreResult &res,
     prov.tool = "mc";
     prov.configHash = obs::fnv1a(csprintf(
         "%s:sites=%s:sym=%d:cap=%d:xcheck=%d", m.str(), opt.sitesSpec,
-        opt.symmetry ? 1 : 0, int(opt.maxStates), int(opt.xcheck)));
+        opt.symmetry ? 1 : 0, opt.maxStates, opt.xcheck));
     prov.faultSpec = m.faultBudget == 0
                          ? "off"
                          : csprintf("budget=%d:sites=%s", m.faultBudget,
@@ -230,6 +262,9 @@ writeJsonReport(const CliOptions &opt, const mc::ExploreResult &res,
                            jsonEscape(res.cex->path[i].str()));
         os << "]}";
     }
+    os << csprintf(",\n  \"host\": {\"explore_wall_ms\": %.3f,"
+                   " \"explore_cpu_ms\": %.3f, \"states_per_s\": %.0f}",
+                   host.wallMs, host.cpuMs, host.statesPerS);
     os << "\n}\n";
 }
 
@@ -243,7 +278,14 @@ run(const CliOptions &opt)
     mc::ExploreOptions eopt;
     eopt.symmetry = opt.symmetry;
     eopt.maxStates = opt.maxStates;
+    HostCost host;
+    host.wallMs = -clockMs(CLOCK_MONOTONIC);
+    host.cpuMs = -clockMs(CLOCK_THREAD_CPUTIME_ID);
     mc::ExploreResult res = mc::explore(m, eopt);
+    host.wallMs += clockMs(CLOCK_MONOTONIC);
+    host.cpuMs += clockMs(CLOCK_THREAD_CPUTIME_ID);
+    host.statesPerS =
+        host.cpuMs > 0 ? double(res.states) * 1e3 / host.cpuMs : 0;
 
     std::printf("mc: explored %llu states, %llu transitions, depth %llu\n",
                 (unsigned long long)res.states,
@@ -252,6 +294,9 @@ run(const CliOptions &opt)
     std::printf("mc: terminals: %llu completed, %llu aborted\n",
                 (unsigned long long)res.completed,
                 (unsigned long long)res.aborted);
+    std::printf("mc: host: explore %.1f ms wall, %.1f ms thread CPU, "
+                "%.0f states/s (CPU)\n",
+                host.wallMs, host.cpuMs, host.statesPerS);
 
     bool cexReplayOk = false;
     XcheckTally xc;
@@ -308,7 +353,7 @@ run(const CliOptions &opt)
 
     std::printf("mc: verdict %s\n", verdict);
     if (!opt.jsonPath.empty())
-        writeJsonReport(opt, res, xc, verdict, cexReplayOk);
+        writeJsonReport(opt, res, host, xc, verdict, cexReplayOk);
 
     if (res.cex || !xc.ok)
         return verify::ExitViolation;
