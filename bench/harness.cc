@@ -171,7 +171,7 @@ runBenchmarkObserved(const std::string &name, const MachineConfig &cfg,
     }
     std::unique_ptr<sim::Machine> m;
     {
-        obs::PhaseTimer t(o.profile ? &pre.scheduleMs : nullptr);
+        obs::PhaseTimer t(o.profile ? &pre.machineMs : nullptr);
         m = std::make_unique<sim::Machine>(*cp, cfg);
     }
     m->setTimeline(o.timeline);
@@ -180,7 +180,7 @@ runBenchmarkObserved(const std::string &name, const MachineConfig &cfg,
     sim::RunResult r = m->run();
     if (o.profile) {
         r.profile.compileMs += pre.compileMs;
-        r.profile.scheduleMs += pre.scheduleMs;
+        r.profile.machineMs += pre.machineMs;
     }
     return r;
 }

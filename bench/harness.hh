@@ -79,8 +79,8 @@ struct RunObservers
 /**
  * runBenchmark() with observers attached. With profile on, the returned
  * RunResult::profile breaks the wall clock into compile (HIR build +
- * marking; ~0 when the compile cache is already warm), schedule
- * (machine construction), stream-build, and execute phases, plus peak
+ * marking; ~0 when the compile cache is already warm), machine
+ * (sim::Machine construction), stream-build, and execute phases, plus peak
  * RSS. Not thread-safe with respect to the recorders: callers
  * instrument one run at a time (the sweep engine observes one cell).
  */

@@ -29,22 +29,20 @@ class LineHistory
 {
   public:
     LineHistory(unsigned procs, Addr data_bytes, unsigned line_bytes)
-        : _lineBytes(line_bytes),
-          _state(procs,
-                 std::vector<LineEvent>(data_bytes / line_bytes + 1,
-                                        LineEvent::NeverCached))
+        : _lineBytes(line_bytes), _linesPerProc(data_bytes / line_bytes + 1),
+          _state(procs * _linesPerProc, LineEvent::NeverCached)
     {}
 
     LineEvent
     state(ProcId p, Addr addr) const
     {
-        return _state[p][index(addr)];
+        return _state[index(p, addr)];
     }
 
     void
     record(ProcId p, Addr addr, LineEvent e)
     {
-        _state[p][index(addr)] = e;
+        _state[index(p, addr)] = e;
     }
 
     /** Classify a miss that found no line in the cache. */
@@ -71,10 +69,15 @@ class LineHistory
     }
 
   private:
-    std::size_t index(Addr addr) const { return addr / _lineBytes; }
+    std::size_t
+    index(ProcId p, Addr addr) const
+    {
+        return p * _linesPerProc + addr / _lineBytes;
+    }
 
     unsigned _lineBytes;
-    std::vector<std::vector<LineEvent>> _state;
+    std::size_t _linesPerProc;
+    std::vector<LineEvent> _state;  ///< procs rows of _linesPerProc
 };
 
 } // namespace mem

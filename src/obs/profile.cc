@@ -31,10 +31,10 @@ currentRssPeakKb()
 std::string
 PhaseProfile::json() const
 {
-    return csprintf("{\"compile_ms\": %.3f, \"schedule_ms\": %.3f, "
+    return csprintf("{\"compile_ms\": %.3f, \"machine_ms\": %.3f, "
                     "\"stream_ms\": %.3f, \"exec_ms\": %.3f, "
                     "\"rss_peak_kb\": %d}",
-                    compileMs, scheduleMs, streamMs, execMs, rssPeakKb);
+                    compileMs, machineMs, streamMs, execMs, rssPeakKb);
 }
 
 } // namespace obs

@@ -1,8 +1,9 @@
 /**
  * @file
  * Self-profiling: scoped wall-clock probes around the compile ->
- * schedule -> stream-build -> execute phases plus a peak-RSS sample,
- * so a BENCH_p1-style regression is attributable to a phase.
+ * machine-construction -> stream-build -> execute phases plus a
+ * peak-RSS sample, so a BENCH_p1-style regression is attributable to
+ * a phase.
  *
  * PhaseProfile rides inside RunResult. Wall-clock times are
  * nondeterministic, so the struct is deliberately invisible to the
@@ -23,14 +24,14 @@ namespace obs {
 struct PhaseProfile
 {
     double compileMs = 0;   ///< HIR build + marking analysis
-    double scheduleMs = 0;  ///< task-stream scheduling
+    double machineMs = 0;   ///< sim::Machine construction
     double streamMs = 0;    ///< epoch-stream program build (fast path)
     double execMs = 0;      ///< simulation proper
     std::uint64_t rssPeakKb = 0;  ///< ru_maxrss at end of run
 
     bool any() const
     {
-        return compileMs != 0 || scheduleMs != 0 || streamMs != 0 ||
+        return compileMs != 0 || machineMs != 0 || streamMs != 0 ||
                execMs != 0 || rssPeakKb != 0;
     }
 

@@ -120,3 +120,19 @@ TEST(HarnessCache, LruBudgetEvictsWithoutDangling)
 
     setCompiledCacheBudget(0); // restore the default for other tests
 }
+
+/**
+ * --profile's machine phase times sim::Machine construction (the
+ * simulated caches, network and scheme), separately from compile,
+ * stream build and execution.
+ */
+TEST(HarnessProfile, TimesMachineConstruction)
+{
+    RunObservers o;
+    o.profile = true;
+    const sim::RunResult r = runBenchmarkObserved(
+        "OCEAN", makeConfig(SchemeKind::TPI), 1, /*affinity=*/false, o);
+    EXPECT_GT(r.profile.machineMs, 0.0);
+    EXPECT_GT(r.profile.execMs, 0.0);
+    EXPECT_NE(r.profile.json().find("\"machine_ms\": "), std::string::npos);
+}

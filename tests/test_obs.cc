@@ -234,6 +234,10 @@ TEST(PhaseProfile, RendersAndComparesAsDesigned)
     p.execMs = 12.5;
     EXPECT_TRUE(p.any());
     EXPECT_NE(p.json().find("\"exec_ms\": 12.500"), std::string::npos);
+    obs::PhaseProfile m;
+    m.machineMs = 0.25;
+    EXPECT_TRUE(m.any());
+    EXPECT_NE(m.json().find("\"machine_ms\": 0.250"), std::string::npos);
     // Wall-clock is nondeterministic by nature, so the profile is
     // deliberately invisible to equality (see the header comment).
     obs::PhaseProfile q;
