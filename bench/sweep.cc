@@ -76,11 +76,8 @@ usage(const char *argv0, int code)
     std::exit(code);
 }
 
-// Checkpoint journal encoding: the line-oriented format introduced in
-// PR 4 now lives in serve/journal.{hh,cc}, shared with the campaign
-// server's durable work queue so the two implementations cannot drift.
-// The sweep keeps its own magic; the server refuses sweep checkpoints
-// as foreign and vice versa.
+// Checkpoint journal encoding: the line-oriented format and its
+// durability contract live in serve/journal.{hh,cc}.
 using serve::TokenReader;
 using serve::decodeResult;
 using serve::encodeResult;
@@ -448,25 +445,38 @@ Sweep::run()
                       "different sweep (identity %016x, expected %016x)",
                       _opts.checkpointPath, id, identity);
             journal_has_header = true;
+            const bool header_unterminated = f.eof();
+            std::vector<std::string> valid{line};
             std::size_t loaded = 0, torn = 0;
             while (std::getline(f, line)) {
+                // A record is whole only if its newline made it out
+                // (getline() hits eof on an unterminated last line) and
+                // its tokens decode with none left over. Anything else
+                // is the interrupted writer's tail: re-run the cell.
+                // Duplicate indices are legitimate (the observed cell
+                // is re-journaled on every resume); the last one wins.
                 TokenReader in(line);
-                const std::uint64_t idx = in.u64();
                 Outcome o;
-                if (!in.ok || idx >= _cells.size() ||
-                    !decodeResult(in, o.result)) {
-                    ++torn; // interrupted writer's tail: re-run the cell
-                    continue;
-                }
+                const std::uint64_t idx = in.u64();
+                const bool decoded = decodeResult(in, o.result);
                 o.error = in.str();
-                if (!in.ok) {
+                if (f.eof() || !decoded || !in.atEnd() ||
+                    idx >= _cells.size()) {
                     ++torn;
                     continue;
                 }
+                valid.push_back(line);
                 restored[idx] = std::move(o);
                 have[idx] = 1;
                 ++loaded;
             }
+            // Drop the torn lines (or terminate a header that lost its
+            // newline) before anything is appended, so the next record
+            // starts on a line of its own.
+            if ((torn || header_unterminated) &&
+                !serve::compactJournal(_opts.checkpointPath, valid))
+                fatal("cannot rewrite checkpoint journal '%s'",
+                      _opts.checkpointPath);
             inform("resume: %d of %d cells restored from '%s'%s", loaded,
                    _cells.size(), _opts.checkpointPath,
                    torn ? csprintf(" (%d torn records re-run)", torn)

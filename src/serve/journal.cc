@@ -1,8 +1,10 @@
 #include "serve/journal.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <type_traits>
 
 #include "common/json.hh"
@@ -185,6 +187,27 @@ std::string
 journalHeader(const std::string &magic, std::uint64_t identity)
 {
     return magic + ' ' + csprintf("%016x", identity);
+}
+
+bool
+compactJournal(const std::string &path,
+               const std::vector<std::string> &lines)
+{
+    // flush() hands the bytes to the OS, which survives `kill -9` of
+    // this process (the crash model of the chaos gate); whole-machine
+    // power loss is out of scope, as it is for every append.
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+        if (!f)
+            return false;
+        for (const std::string &l : lines)
+            f << l << '\n';
+        f.flush();
+        if (!f)
+            return false;
+    }
+    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 void

@@ -1,10 +1,11 @@
 /**
  * @file
- * Durable line-oriented journal primitives shared by the sweep
- * checkpoint (`bench/sweep.cc --checkpoint/--resume`) and the campaign
- * server's work queue (`src/serve/queue.cc`).
+ * Durable line-oriented journal primitives. The sweep checkpoint
+ * (`bench/sweep.cc --checkpoint/--resume`) is their one durable user;
+ * the benchmark program (`perfbench/`) also times the result codec and
+ * the per-cell JSON writer.
  *
- * Format contract (established in PR 4, generalized here):
+ * Format contract:
  *
  *   <magic> <16-hex-digit identity>\n        header, written first
  *   <record tokens...>\n                     one line per completed unit
@@ -17,7 +18,12 @@
  *
  * Robustness contract:
  *  - A torn or corrupt *record* (the interrupted writer's tail) fails
- *    to decode and the unit is simply re-run.
+ *    to decode, or decodes with tokens left over, and the unit is
+ *    simply re-run.
+ *  - Before a reader appends to a journal that held such a record, it
+ *    rewrites the file to its valid lines (compactJournal), so a new
+ *    record can never be spliced onto a torn tail: "1" + "3 ..." would
+ *    otherwise read back as a well-formed record for unit 13.
  *  - A torn or malformed *header* - including one truncated inside the
  *    identity hash - makes the whole file invalid: parseJournalHeader
  *    only accepts the exact magic followed by exactly 16 hex digits
@@ -34,6 +40,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/result.hh"
 
@@ -90,11 +97,20 @@ bool parseJournalHeader(const std::string &line, const std::string &magic,
                         std::uint64_t &identity);
 
 /**
- * Emit the per-cell result fields of the sweep/server JSON schema:
+ * Atomically replace the journal at @p path with @p lines, each
+ * newline-terminated: the bytes go to `<path>.tmp`, which is then
+ * renamed over @p path, so a `kill -9` at any point leaves either the
+ * old file or the new one, never a mix. Call it before appending to a
+ * journal whose read found a torn record or an unterminated last line.
+ * Returns false if the rewrite failed (the original is then intact).
+ */
+bool compactJournal(const std::string &path,
+                    const std::vector<std::string> &lines);
+
+/**
+ * Emit the per-cell result fields of the sweep JSON schema:
  * `"fingerprint"` through the conditional abort/error/profile block,
- * 6-space indented, no trailing newline or comma. Shared by
- * bench/sweep.cc (--json) and the campaign aggregate writer so the two
- * schemas can never drift apart.
+ * 6-space indented, no trailing newline or comma.
  */
 void writeResultCellJson(std::ostream &f, const sim::RunResult &r,
                          const std::string &error);

@@ -221,6 +221,76 @@ TEST(FaultDeterminism, ResumeReproducesByteIdenticalJson)
     std::remove(ckpt.c_str());
 }
 
+TEST(FaultDeterminism, TornTailIsNotSplicedIntoTheNextRecord)
+{
+    // The next record appended after a torn tail must start a line of
+    // its own. Spliced onto a bare digit prefix "1", cell 3's record
+    // would read back as a well-formed record for cell 13; spliced onto
+    // a whole record that lost only its newline, it would become that
+    // cell's error string. A single resume cannot see either (the
+    // damaged cell is already restored when the splice is written); the
+    // second resume would. 3 benchmarks x 5 schemes = 15 cells, so
+    // index 13 exists.
+    const SchemeKind schemes[] = {SchemeKind::Base, SchemeKind::SC,
+                                  SchemeKind::VC, SchemeKind::TPI,
+                                  SchemeKind::HW};
+    const std::string json0 = testing::TempDir() + "hscd_splice_full.json";
+    const std::string json1 = testing::TempDir() + "hscd_splice_res.json";
+    const std::string ckpt = testing::TempDir() + "hscd_splice.journal";
+    std::remove(ckpt.c_str());
+    auto run = [&](const std::string &json, bool resume) {
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.jsonPath = json;
+        opts.checkpointPath = ckpt;
+        opts.resume = resume;
+        Sweep sweep(opts, "torn-tail-splice");
+        for (const std::string &name : kBenchmarks)
+            for (SchemeKind k : schemes)
+                sweep.add(name, makeConfig(k), /*scale=*/1);
+        sweep.run();
+        std::ostringstream devnull;
+        sweep.finish(devnull);
+        return slurp(json);
+    };
+
+    const std::string reference = run(json0, false);
+    ASSERT_NE(reference.find("\"label\": \"TRFD/TPI\""), std::string::npos);
+    const std::string journal = slurp(ckpt);
+
+    // Drop cell 3's record, then damage the tail.
+    std::istringstream all(journal);
+    std::string line, without3;
+    int lines = 0;
+    while (std::getline(all, line)) {
+        if (line.rfind("3 ", 0) != 0) {
+            without3 += line + "\n";
+            ++lines;
+        }
+    }
+    ASSERT_EQ(lines, 1 + 15 - 1); // header + every record but cell 3
+    const std::string damaged[] = {
+        without3 + "1",                                // torn digit prefix
+        without3.substr(0, without3.size() - 1),       // newline lost
+    };
+    for (const std::string &d : damaged) {
+        {
+            std::ofstream f(ckpt, std::ios::trunc);
+            f << d;
+        }
+        EXPECT_EQ(run(json1, true), reference)
+            << "first resume, tail '" << d.substr(d.rfind('\n') + 1, 8)
+            << "'";
+        EXPECT_EQ(run(json1, true), reference)
+            << "second resume, tail '" << d.substr(d.rfind('\n') + 1, 8)
+            << "'";
+    }
+
+    std::remove(json0.c_str());
+    std::remove(json1.c_str());
+    std::remove(ckpt.c_str());
+}
+
 TEST(FaultDeterminism, TornHeaderJournalIsRejected)
 {
     // A checkpoint whose header was torn inside the 16-hex identity

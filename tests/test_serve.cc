@@ -1,20 +1,16 @@
 /**
  * @file
- * Unit and behavior tests for the campaign-server subsystem
- * (src/serve/): the strict JSON parser, the submission grammar and
- * identity contract, the PR 4-format journal primitives - in
- * particular that a header torn inside the identity is rejected as
- * structurally invalid, never misparsed as a shorter foreign id - the
- * durable queue's crash recovery (torn tails compacted, foreign and
- * invalid journals set aside), admission control, and the NDJSON
- * request dispatch. Also pins the sweep engine's abort contract:
- * an expired --deadline-ms and a SIGTERM mid-campaign both exit with
- * verify::ExitAbort (4) after checkpointing, never 0.
+ * Unit tests for the durable-campaign primitives shared by the sweep
+ * checkpoint: the strict JSON parser, the journal codec and header -
+ * in particular that a header torn inside the identity is rejected as
+ * structurally invalid, never misparsed as a shorter foreign id - and
+ * the torn-tail compaction. Also pins the sweep engine's abort
+ * contract: an expired --deadline-ms and a SIGTERM mid-campaign both
+ * exit with verify::ExitAbort (4) after checkpointing, never 0.
  */
 
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,11 +22,8 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "harness.hh"
+#include "common/strutil.hh"
 #include "serve/journal.hh"
-#include "serve/protocol.hh"
-#include "serve/queue.hh"
-#include "serve/server.hh"
 #include "sweep.hh"
 #include "verify/diagnostic.hh"
 
@@ -38,18 +31,6 @@ using namespace hscd;
 using namespace hscd::serve;
 
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string
-freshDir(const std::string &name)
-{
-    const std::string dir = testing::TempDir() + name;
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir, ec);
-    return dir;
-}
 
 std::string
 slurp(const std::string &path)
@@ -63,7 +44,7 @@ slurp(const std::string &path)
 
 /** Deterministic synthetic cell: no simulator, microsecond-fast. */
 sim::RunResult
-fakeCell(const CampaignSpec &, std::size_t i)
+fakeCell(std::size_t i)
 {
     sim::RunResult r;
     r.tasks = 1 + i;
@@ -74,36 +55,6 @@ fakeCell(const CampaignSpec &, std::size_t i)
     // A non-trivial double: must survive the journal bit-exactly.
     r.readMissRate = 0.1 + 1e-17 * double(i);
     return r;
-}
-
-CampaignSpec
-smallSpec(const std::string &name, std::size_t cells)
-{
-    CampaignSpec spec;
-    spec.name = name;
-    for (std::size_t i = 0; i < cells; ++i) {
-        CellSpec c;
-        c.workload = "adm";
-        c.scheme = "tpi";
-        c.scale = 1;
-        c.label = csprintf("cell-%d", int(i));
-        spec.cells.push_back(std::move(c));
-    }
-    return spec;
-}
-
-/** Spin until campaign @p id completes (bounded). */
-CampaignQueue::Status
-awaitComplete(CampaignQueue &q, std::uint64_t id)
-{
-    for (int spins = 0; spins < 2000; ++spins) {
-        CampaignQueue::Status st = q.status(id);
-        if (st.complete)
-            return st;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ADD_FAILURE() << "campaign never completed";
-    return q.status(id);
 }
 
 } // namespace
@@ -194,7 +145,7 @@ TEST(ServeJournal, WrongMagicOrExtraBytesRejected)
 
 TEST(ServeJournal, ResultTokensRoundTripBitExactly)
 {
-    sim::RunResult r = fakeCell(CampaignSpec(), 7);
+    sim::RunResult r = fakeCell(7);
     r.readMissRate = 0.30000000000000004; // not representable cleanly
     std::ostringstream os;
     encodeResult(os, r);
@@ -327,290 +278,37 @@ TEST(ServeJournal, DecodeRejectsUnknownAbortKind)
     EXPECT_FALSE(decodesWithKind("255"));
 }
 
-// --- protocol ----------------------------------------------------------
-
-TEST(ServeProtocol, SubmitRoundTripsThroughRequestJson)
+TEST(ServeJournal, CompactKeepsOnlyTheGivenLinesAtomically)
 {
-    CampaignSpec spec = smallSpec("round-trip", 3);
-    spec.cells[1].workload = "synth:stencil:3";
-    spec.cells[1].scheme = "hw";
-    spec.cells[2].procs = 32;
-    spec.cells[2].affinity = false;
-    spec.faultSpec = "0.001:9";
-    spec.timeoutMs = 5000;
-
-    JsonValue req;
-    std::string err;
-    ASSERT_TRUE(parseJson(spec.toRequestJson(), req, err)) << err;
-    CampaignSpec back;
-    ASSERT_TRUE(parseSubmit(req, back, err)) << err;
-    EXPECT_EQ(back.identity(), spec.identity());
-    EXPECT_EQ(back.canonical(), spec.canonical());
-    EXPECT_EQ(back.timeoutMs, 5000);
-}
-
-TEST(ServeProtocol, IdentityExcludesExecutionBudgets)
-{
-    CampaignSpec a = smallSpec("budgets", 2);
-    CampaignSpec b = a;
-    b.timeoutMs = 9999;
-    b.deadlineMs = 123456;
-    // An interrupted submission retried with different budgets must
-    // attach to the same durable campaign.
-    EXPECT_EQ(a.identity(), b.identity());
-    CampaignSpec c = a;
-    c.cells[0].scheme = "hw";
-    EXPECT_NE(a.identity(), c.identity());
-}
-
-TEST(ServeProtocol, StrictRejections)
-{
-    auto tryParse = [](const std::string &json) {
-        JsonValue req;
-        CampaignSpec out;
-        std::string err;
-        EXPECT_TRUE(parseJson(json, req, err)) << err;
-        const bool ok = parseSubmit(req, out, err);
-        return ok ? std::string() : err;
-    };
-    EXPECT_NE(tryParse(R"({"op": "submit", "campaign": "x", "cells":
-        [{"workload": "adm", "scheme": "tpi"}], "typo_field": 1})"),
-              "");
-    EXPECT_NE(tryParse(R"({"op": "submit", "campaign": "x", "cells":
-        [{"workload": "nosuch", "scheme": "tpi"}]})"),
-              "");
-    EXPECT_NE(tryParse(R"({"op": "submit", "campaign": "x", "cells":
-        [{"workload": "adm", "scheme": "nosuch"}]})"),
-              "");
-    EXPECT_NE(tryParse(R"({"op": "submit", "campaign": "x",
-        "cells": []})"),
-              "");
-    EXPECT_NE(tryParse(R"({"op": "submit", "campaign": "x", "cells":
-        [{"workload": "adm", "scheme": "tpi", "scale": 99}]})"),
-              "");
-}
-
-// --- durable queue -----------------------------------------------------
-
-TEST(ServeQueue, RunsPersistsAndRecovers)
-{
-    const std::string dir = freshDir("serve_q_basic");
-    const CampaignSpec spec = smallSpec("basic", 4);
-    std::string resultBytes;
-    std::uint64_t id = 0;
+    // A crash image: header, one whole record, then a torn tail with no
+    // newline. Compaction rewrites the file to the valid lines, each
+    // newline-terminated, so the next append starts a line of its own.
+    const std::string path = testing::TempDir() + "serve_compact.journal";
+    const std::string header = journalHeader("m v1", 0x0123456789abcdefu);
+    std::ostringstream rec;
+    rec << 0;
+    encodeResult(rec, fakeCell(0));
+    rec << " -";
     {
-        CampaignQueue q(dir, QueueLimits(), fakeCell, 2);
-        CampaignQueue::Admission a = q.submit(spec);
-        ASSERT_EQ(a.status, CampaignQueue::Admission::Status::Accepted);
-        id = a.id;
-
-        // Idempotent resubmission.
-        CampaignQueue::Admission again = q.submit(spec);
-        EXPECT_EQ(again.status, CampaignQueue::Admission::Status::Dedup);
-        EXPECT_EQ(again.id, id);
-
-        CampaignQueue::Status st = awaitComplete(q, id);
-        EXPECT_EQ(st.done, 4u);
-        EXPECT_EQ(st.errors, 0u);
-        ASSERT_FALSE(st.resultPath.empty());
-        resultBytes = slurp(st.resultPath);
-        EXPECT_NE(resultBytes.find("\"reads\": 400"), std::string::npos);
-        q.shutdown(/*drain=*/true);
+        std::ofstream f(path, std::ios::trunc);
+        f << header << '\n' << rec.str() << '\n' << "1";
     }
-    // A fresh process over the same state dir sees the finished
-    // campaign without re-running anything.
-    CampaignQueue q2(dir, QueueLimits(), fakeCell, 2);
-    EXPECT_EQ(q2.recover(), 1u);
-    CampaignQueue::Status st = q2.status(id);
-    EXPECT_TRUE(st.complete);
-    EXPECT_EQ(slurp(st.resultPath), resultBytes);
-    q2.shutdown(true);
+    ASSERT_TRUE(compactJournal(path, {header, rec.str()}));
+    EXPECT_EQ(slurp(path), header + "\n" + rec.str() + "\n");
+    {
+        std::ofstream f(path, std::ios::app);
+        f << "3 next\n";
+    }
+    EXPECT_EQ(slurp(path), header + "\n" + rec.str() + "\n3 next\n");
+    // The temp file was renamed over the journal, not left behind.
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    // An unwritable target fails without touching anything.
+    EXPECT_FALSE(compactJournal(testing::TempDir() + "no/such/dir/j",
+                                {header}));
+    std::remove(path.c_str());
 }
 
-TEST(ServeQueue, TornJournalTailIsCompactedAndResumed)
-{
-    // Reference: run the campaign to completion in dir A.
-    const std::string ref = freshDir("serve_q_torn_ref");
-    const CampaignSpec spec = smallSpec("torn", 5);
-    std::string refBytes, journal;
-    {
-        CampaignQueue q(ref, QueueLimits(), fakeCell, 1);
-        CampaignQueue::Admission a = q.submit(spec);
-        CampaignQueue::Status st = awaitComplete(q, a.id);
-        refBytes = slurp(st.resultPath);
-        q.shutdown(true);
-        journal = slurp(ref + "/" + csprintf("%016x", a.id) + ".journal");
-    }
-    ASSERT_FALSE(refBytes.empty());
-
-    // Crash image in dir B: the .req, plus the journal cut mid-record
-    // exactly as kill -9 mid-append leaves it (header + 2 whole records
-    // + half of the third, no newline).
-    const std::string dir = freshDir("serve_q_torn");
-    const std::string idHex = csprintf("%016x", spec.identity());
-    {
-        std::ofstream req(dir + "/" + idHex + ".req");
-        req << spec.toRequestJson() << "\n";
-    }
-    std::istringstream lines(journal);
-    std::string line, torn;
-    for (int keep = 0; keep < 3 && std::getline(lines, line); ++keep)
-        torn += line + "\n";
-    ASSERT_TRUE(std::getline(lines, line));
-    torn += line.substr(0, line.size() / 2);
-    {
-        std::ofstream j(dir + "/" + idHex + ".journal");
-        j << torn;
-    }
-
-    CampaignQueue q(dir, QueueLimits(), fakeCell, 1);
-    ASSERT_EQ(q.recover(), 1u);
-    const CampaignQueue::Status st = awaitComplete(q, spec.identity());
-    EXPECT_EQ(st.done, 5u);
-    // The torn record was discarded, the two whole ones restored, and
-    // the final aggregate is byte-identical to the uninterrupted run's.
-    EXPECT_EQ(q.counters().cellsRestored, 2u);
-    EXPECT_EQ(q.counters().cellsRun, 3u);
-    EXPECT_EQ(slurp(st.resultPath), refBytes);
-    q.shutdown(true);
-}
-
-TEST(ServeQueue, ForeignAndTornHeaderJournalsAreSetAside)
-{
-    const CampaignSpec spec = smallSpec("aside", 3);
-    const std::string idHex = csprintf("%016x", spec.identity());
-
-    // A sweep-format journal squatting on our key: its magic fails the
-    // strict header parse, so it is structurally not ours - set aside
-    // as .invalid, campaign re-run from scratch, nothing trusted.
-    {
-        const std::string dir = freshDir("serve_q_sweepmagic");
-        {
-            std::ofstream req(dir + "/" + idHex + ".req");
-            req << spec.toRequestJson() << "\n";
-            std::ofstream j(dir + "/" + idHex + ".journal");
-            j << journalHeader("hscd-sweep-journal v1", spec.identity())
-              << "\n0 ";
-            encodeResult(j, fakeCell(spec, 0));
-            j << " -\n";
-        }
-        CampaignQueue q(dir, QueueLimits(), fakeCell, 1);
-        ASSERT_EQ(q.recover(), 1u);
-        const CampaignQueue::Status st =
-            awaitComplete(q, spec.identity());
-        EXPECT_EQ(st.done, 3u);
-        EXPECT_EQ(q.counters().cellsRestored, 0u);
-        EXPECT_TRUE(fs::exists(dir + "/" + idHex + ".journal.invalid"));
-        q.shutdown(true);
-    }
-
-    // A well-formed serve journal carrying a different identity (e.g.
-    // a file copied between state dirs): refused as foreign.
-    {
-        const std::string dir = freshDir("serve_q_foreign");
-        {
-            std::ofstream req(dir + "/" + idHex + ".req");
-            req << spec.toRequestJson() << "\n";
-            std::ofstream j(dir + "/" + idHex + ".journal");
-            j << journalHeader("hscd-serve-journal v1",
-                               spec.identity() ^ 0xabcdu)
-              << "\n";
-        }
-        CampaignQueue q(dir, QueueLimits(), fakeCell, 1);
-        ASSERT_EQ(q.recover(), 1u);
-        const CampaignQueue::Status st =
-            awaitComplete(q, spec.identity());
-        EXPECT_EQ(st.done, 3u);
-        EXPECT_EQ(q.counters().cellsRestored, 0u);
-        EXPECT_TRUE(fs::exists(dir + "/" + idHex + ".journal.foreign"));
-        q.shutdown(true);
-    }
-
-    // Satellite 3, server side: a header torn inside the identity is
-    // structurally invalid - set aside as .invalid, never misparsed.
-    {
-        const std::string dir = freshDir("serve_q_invalid");
-        {
-            std::ofstream req(dir + "/" + idHex + ".req");
-            req << spec.toRequestJson() << "\n";
-            const std::string good =
-                journalHeader("hscd-serve-journal v1", spec.identity());
-            std::ofstream j(dir + "/" + idHex + ".journal");
-            j << good.substr(0, good.size() - 7); // torn mid-identity
-        }
-        CampaignQueue q(dir, QueueLimits(), fakeCell, 1);
-        ASSERT_EQ(q.recover(), 1u);
-        const CampaignQueue::Status st =
-            awaitComplete(q, spec.identity());
-        EXPECT_EQ(st.done, 3u);
-        EXPECT_EQ(q.counters().cellsRestored, 0u);
-        EXPECT_TRUE(fs::exists(dir + "/" + idHex + ".journal.invalid"));
-        q.shutdown(true);
-    }
-}
-
-TEST(ServeQueue, OverBoundSubmissionsAreShed)
-{
-    const std::string dir = freshDir("serve_q_shed");
-    QueueLimits limits;
-    limits.maxQueuedCells = 2;
-    // Workers that never run (queue full before shutdown): block cells
-    // from draining by submitting more than the bound at once.
-    CampaignQueue q(dir, limits, fakeCell, 1);
-    const CampaignSpec big = smallSpec("too-big", 5);
-    CampaignQueue::Admission a = q.submit(big);
-    EXPECT_EQ(a.status, CampaignQueue::Admission::Status::Shed);
-    EXPECT_NE(a.error, "");
-    EXPECT_EQ(q.counters().shed, 1u);
-    // Nothing durable was left behind for a shed submission.
-    EXPECT_FALSE(
-        fs::exists(dir + "/" + csprintf("%016x", big.identity()) +
-                   ".req"));
-    q.shutdown(true);
-}
-
-// --- server request dispatch ------------------------------------------
-
-TEST(ServeServer, DispatchesNdjsonRequests)
-{
-    ServerOptions opt;
-    opt.stateDir = freshDir("serve_srv");
-    opt.workers = 1;
-    opt.extraStats = [] {
-        return std::string("\"caches\": {\"compile\": {}}");
-    };
-    Server server(opt, fakeCell);
-
-    std::string resp = server.handleRequestLine("{\"op\": \"healthz\"}");
-    EXPECT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
-
-    resp = server.handleRequestLine("not json at all");
-    EXPECT_NE(resp.find("\"ok\": false"), std::string::npos) << resp;
-
-    resp = server.handleRequestLine("{\"op\": \"nosuch\"}");
-    EXPECT_NE(resp.find("\"ok\": false"), std::string::npos) << resp;
-    EXPECT_EQ(server.queue().counters().rejected, 2u);
-
-    const CampaignSpec spec = smallSpec("ndjson", 2);
-    resp = server.handleRequestLine(spec.toRequestJson());
-    EXPECT_NE(resp.find("\"status\": \"accepted\""), std::string::npos)
-        << resp;
-    const std::string idHex = csprintf("%016x", spec.identity());
-    EXPECT_NE(resp.find(idHex), std::string::npos) << resp;
-
-    awaitComplete(server.queue(), spec.identity());
-    resp = server.handleRequestLine(
-        csprintf("{\"op\": \"poll\", \"id\": \"%s\"}", idHex));
-    EXPECT_NE(resp.find("\"status\": \"complete\""), std::string::npos)
-        << resp;
-
-    resp = server.handleRequestLine("{\"op\": \"stats\"}");
-    EXPECT_NE(resp.find("hscd-serve-stats"), std::string::npos) << resp;
-    EXPECT_NE(resp.find("\"caches\""), std::string::npos) << resp;
-    server.queue().shutdown(true);
-}
-
-// --- sweep abort contract (satellites 2 and 6) -------------------------
+// --- sweep abort contract ----------------------------------------------
 
 namespace {
 
@@ -619,15 +317,15 @@ void
 sweepAbortScenario(bench::SweepOptions opts, std::function<void()> trip)
 {
     bench::Sweep sweep(opts, "abort-contract");
-    sweep.addCustom("ok-0", [] { return fakeCell(CampaignSpec(), 0); });
+    sweep.addCustom("ok-0", [] { return fakeCell(0); });
     sweep.addCustom("trip", [trip] {
         trip();
-        return fakeCell(CampaignSpec(), 1);
+        return fakeCell(1);
     });
     for (int i = 2; i < 4; ++i)
         sweep.addCustom(csprintf("slow-%d", i), [i] {
             std::this_thread::sleep_for(std::chrono::milliseconds(80));
-            return fakeCell(CampaignSpec(), std::size_t(i));
+            return fakeCell(std::size_t(i));
         });
     sweep.run();
     std::ostringstream devnull;

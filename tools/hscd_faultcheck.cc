@@ -22,10 +22,18 @@
  *   hscd_faultcheck --rates 1e-4,1e-3,0.01  # fault-rate sweep table
  *   hscd_faultcheck --seeds 500 --sites net --jobs 16
  *
+ * `--sweep BIN[,BIN...]` is the kill -9 gate for sweep checkpoints
+ * instead: each sweep binary is SIGKILLed mid-run and resumed until a
+ * last resume finishes, and its JSON must be byte-identical to an
+ * uninterrupted run's.
+ *
+ *   hscd_faultcheck --sweep build/bench/bench_fig13_traffic --kills 5
+ *
  * Exit codes follow the verify::ExitCode contract: 0 clean campaign,
  * 2 usage error, 3 silent corruption detected, 5 harness error.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -46,12 +54,11 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "common/strutil.hh"
 #include "fault/plan.hh"
 #include "obs/provenance.hh"
 #include "program_gen.hh"
-#include "serve/net.hh"
-#include "serve/protocol.hh"
 #include "sim/machine.hh"
 #include "verify/diagnostic.hh"
 #include "workloads/synth.hh"
@@ -107,7 +114,10 @@ usage(const char *argv0)
         "  --json PATH      write the campaign table as JSON (with a\n"
         "                   provenance header) to PATH\n"
         "  --verbose        print each non-clean run\n"
-        "  --help           this text\n",
+        "  --help           this text\n"
+        "\n"
+        "  --sweep BIN,...  run the kill -9 gate for sweep checkpoints\n"
+        "                   instead (see --sweep BIN --help)\n",
         argv0);
 }
 
@@ -338,61 +348,45 @@ writeJsonReport(const CliOptions &opt,
     os << csprintf("  \"verdict\": \"%s\"\n}\n", verdict);
 }
 
-// --- --server: the kill -9 chaos harness for hscd_serve ---------------
+// --- --sweep: the kill -9 gate for sweep checkpoints --------------------
 //
-// Proves the durable-queue contract end to end: a campaign whose server
-// is SIGKILLed and restarted repeatedly must produce an aggregate
-// byte-identical (modulo the provenance "jobs" field) to an
-// uninterrupted run's, with zero silent corruptions, and submissions
-// past the admission bound must come back as structured shed errors.
+// Proves the checkpoint contract end to end: a sweep that is SIGKILLed
+// mid-run and restarted with --resume again and again must finish with
+// JSON byte-identical to an uninterrupted run's.
 
 namespace chaos {
 
 struct ChaosOptions
 {
-    std::string serverBin; ///< default: <dir of argv[0]>/hscd_serve
-    std::string stateRoot; ///< default: mkdtemp under TMPDIR
-    std::size_t cells = 500;
+    std::vector<std::string> sweeps; ///< sweep binaries to put under fire
     unsigned kills = 5;
     unsigned jobs = 2;
-    int scale = 1;
-    std::string faultSpec; ///< optional fault axis for the campaign
-    std::vector<std::string> workloads; ///< cell specs to rotate over
-    std::vector<std::string> schemes = {"sc", "tpi", "hw"};
-    bool keep = false; ///< keep the state root (debugging)
+    std::string faultSpec; ///< optional fault axis for the sweeps
 };
 
 void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s --server [options]\n"
+        "usage: %s --sweep BIN[,BIN...] [options]\n"
         "\n"
-        "Chaos-tests the resident campaign server: runs one campaign\n"
-        "to completion on an untouched server (the reference), then\n"
-        "re-runs it while SIGKILLing and restarting the server\n"
-        "mid-campaign, and requires the recovered aggregate to be\n"
-        "byte-identical. Also checks that over-bound submissions are\n"
-        "shed as structured errors, never dropped silently.\n"
+        "Kill -9 gate for sweep checkpoints: runs each sweep binary once\n"
+        "uninterrupted with --json (the reference), then runs it with\n"
+        "--checkpoint/--resume, SIGKILLing it --kills times mid-run\n"
+        "(after a seeded random number of newly journaled cells plus a\n"
+        "seeded random part of a cell's time), lets one last --resume\n"
+        "finish, and requires that run's JSON to be byte-identical to\n"
+        "the reference.\n"
         "\n"
         "Options:\n"
-        "  --server-bin PATH  hscd_serve binary (default: next to %s)\n"
-        "  --state-dir DIR    working root (default: a fresh tempdir,\n"
-        "                     removed on success, kept on failure)\n"
-        "  --cells N          campaign size (default 500)\n"
-        "  --kills N          SIGKILL/restart cycles (default 5)\n"
-        "  --jobs N           server worker threads (default 2)\n"
-        "  --scale N          workload problem scale (default 1)\n"
-        "  --fault SPEC       fault plan for the campaign (default off)\n"
-        "  --workloads L,L    cell specs to rotate over (benchmarks,\n"
-        "                     synth:<f>:<s>, trace:<file>; default: the\n"
-        "                     six benchmarks plus two synth families)\n"
-        "  --schemes L,L      schemes to rotate over (default sc,tpi,hw)\n"
-        "  --keep             keep the state root even on success\n"
+        "  --kills N      SIGKILLs that must land mid-run (default 5)\n"
+        "  --jobs N       --jobs passed to the sweeps (default 2)\n"
+        "  --fault SPEC   --fault passed to the sweeps (default off)\n"
         "\n"
-        "Exit: 0 clean, 2 usage, 3 corruption/contract violation,\n"
-        "5 harness error.\n",
-        argv0, argv0);
+        "Work files go to a fresh directory under TMPDIR, removed on\n"
+        "success and kept on failure.\n"
+        "Exit: 0 clean, 2 usage, 3 corruption, 5 harness error.\n",
+        argv0);
 }
 
 ChaosOptions
@@ -413,41 +407,27 @@ parseChaosArgs(int argc, char **argv)
             const std::string v = value(flag);
             char *end = nullptr;
             double d = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || d < 0) {
+            // Bounded so the integer casts below stay defined.
+            if (end == v.c_str() || *end != '\0' || !(d >= 0 && d <= 1e6)) {
                 std::fprintf(stderr, "%s: bad %s value '%s'\n", argv[0],
                              flag, v.c_str());
                 std::exit(verify::ExitUsage);
             }
             return d;
         };
-        if (a == "--server") {
-            // mode marker, already consumed by main()
+        if (a == "--sweep") {
+            for (const std::string &tok : split(value("--sweep"), ','))
+                if (!trim(tok).empty())
+                    opt.sweeps.push_back(trim(tok));
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
             std::exit(verify::ExitSuccess);
-        } else if (a == "--server-bin") {
-            opt.serverBin = value("--server-bin");
-        } else if (a == "--state-dir") {
-            opt.stateRoot = value("--state-dir");
-        } else if (a == "--cells") {
-            opt.cells = static_cast<std::size_t>(number("--cells"));
         } else if (a == "--kills") {
             opt.kills = static_cast<unsigned>(number("--kills"));
         } else if (a == "--jobs") {
             opt.jobs = static_cast<unsigned>(number("--jobs"));
-        } else if (a == "--scale") {
-            opt.scale = static_cast<int>(number("--scale"));
         } else if (a == "--fault") {
             opt.faultSpec = value("--fault");
-        } else if (a == "--workloads") {
-            for (const std::string &tok : split(value("--workloads"), ','))
-                opt.workloads.push_back(trim(tok));
-        } else if (a == "--schemes") {
-            opt.schemes.clear();
-            for (const std::string &tok : split(value("--schemes"), ','))
-                opt.schemes.push_back(trim(tok));
-        } else if (a == "--keep") {
-            opt.keep = true;
         } else {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                          a.c_str());
@@ -455,125 +435,13 @@ parseChaosArgs(int argc, char **argv)
             std::exit(verify::ExitUsage);
         }
     }
-    if (opt.serverBin.empty()) {
-        std::string self = argv[0];
-        const std::size_t slash = self.rfind('/');
-        opt.serverBin = (slash == std::string::npos
-                             ? std::string(".")
-                             : self.substr(0, slash)) +
-                        "/hscd_serve";
-    }
-    if (opt.workloads.empty())
-        opt.workloads = {"adm",  "flo52",  "ocean",
-                         "qcd2", "spec77", "trfd",
-                         "synth:stencil:3", "synth:migratory:7"};
-    if (opt.cells == 0 || opt.kills == 0 || opt.schemes.empty()) {
-        std::fprintf(stderr, "%s: --cells, --kills and --schemes must "
-                             "be non-zero\n", argv[0]);
+    if (opt.sweeps.empty() || opt.kills == 0) {
+        std::fprintf(stderr, "%s: --sweep needs a binary and --kills "
+                             "must be non-zero\n", argv[0]);
         std::exit(verify::ExitUsage);
     }
     return opt;
 }
-
-/** A running hscd_serve child plus the client channel to it. */
-class ServerHandle
-{
-  public:
-    ~ServerHandle() { stop(SIGKILL); }
-
-    /** fork/exec the server; stdout+stderr append to server.log. */
-    bool spawn(const ChaosOptions &opt, const std::string &stateDir,
-               const std::vector<std::string> &extraArgs = {})
-    {
-        _stateDir = stateDir;
-        std::vector<std::string> args = {opt.serverBin, "--state-dir",
-                                         stateDir, "--jobs",
-                                         csprintf("%d", int(opt.jobs))};
-        args.insert(args.end(), extraArgs.begin(), extraArgs.end());
-        std::vector<char *> cargs;
-        cargs.reserve(args.size() + 1);
-        for (std::string &s : args)
-            cargs.push_back(s.data());
-        cargs.push_back(nullptr);
-
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            std::perror("fork");
-            return false;
-        }
-        if (pid == 0) {
-            const std::string log = stateDir + "/server.log";
-            const int fd = ::open(log.c_str(),
-                                  O_WRONLY | O_CREAT | O_APPEND, 0644);
-            if (fd >= 0) {
-                ::dup2(fd, 1);
-                ::dup2(fd, 2);
-                ::close(fd);
-            }
-            ::execv(cargs[0], cargs.data());
-            std::perror("execv");
-            std::_Exit(127);
-        }
-        _pid = pid;
-        return true;
-    }
-
-    /**
-     * Connect to <stateDir>/sock, retrying while the server boots.
-     * A freshly-recovering server may compact journals first, so the
-     * window is generous.
-     */
-    bool connect(double timeoutMs = 10000)
-    {
-        const std::string sock = _stateDir + "/sock";
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(timeoutMs));
-        std::string error;
-        while (std::chrono::steady_clock::now() < deadline) {
-            serve::Fd fd = serve::connectUnix(sock, error);
-            if (fd.valid()) {
-                _ch = std::make_unique<serve::LineChannel>(std::move(fd));
-                return true;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-        std::fprintf(stderr, "connect %s: %s\n", sock.c_str(),
-                     error.c_str());
-        return false;
-    }
-
-    /** One request line -> one parsed response. */
-    bool rpc(const std::string &req, JsonValue &resp)
-    {
-        std::string line;
-        if (!_ch || !_ch->writeLine(req) || !_ch->readLine(line))
-            return false;
-        std::string error;
-        return parseJson(line, resp, error);
-    }
-
-    /** Signal the child and reap it. Returns the wait status. */
-    int stop(int sig)
-    {
-        if (_pid <= 0)
-            return 0;
-        _ch.reset();
-        ::kill(_pid, sig);
-        int status = 0;
-        ::waitpid(_pid, &status, 0);
-        _pid = -1;
-        return status;
-    }
-
-    pid_t pid() const { return _pid; }
-
-  private:
-    std::string _stateDir;
-    pid_t _pid = -1;
-    std::unique_ptr<serve::LineChannel> _ch;
-};
 
 std::string
 slurpFile(const std::string &path)
@@ -584,82 +452,57 @@ slurpFile(const std::string &path)
     return ss.str();
 }
 
-/** Blank the provenance "jobs" line - the one field allowed to vary. */
-std::string
-maskJobs(std::string s)
+/** Records journaled so far: newline-terminated lines after the header. */
+std::size_t
+journaledRecords(const std::string &path)
 {
-    const std::string key = "\"jobs\":";
-    const std::size_t at = s.find(key);
-    if (at == std::string::npos)
-        return s;
-    const std::size_t eol = s.find('\n', at);
-    s.replace(at, eol - at, key + " <masked>");
-    return s;
+    const std::string text = slurpFile(path);
+    const auto lines =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    return lines ? lines - 1 : 0;
 }
 
-/** The mixed campaign both runs execute. */
-serve::CampaignSpec
-buildCampaign(const ChaosOptions &opt)
+/** fork/exec @p args with stdout+stderr appended to @p log; -1 on error. */
+pid_t
+spawnChild(std::vector<std::string> args, const std::string &log)
 {
-    serve::CampaignSpec spec;
-    spec.name = "chaos";
-    spec.faultSpec = opt.faultSpec;
-    spec.cells.reserve(opt.cells);
-    for (std::size_t i = 0; i < opt.cells; ++i) {
-        serve::CellSpec c;
-        c.workload = opt.workloads[i % opt.workloads.size()];
-        c.scheme = opt.schemes[(i / opt.workloads.size()) %
-                               opt.schemes.size()];
-        c.scale = opt.scale;
-        c.label = csprintf("%s/%s#%d", c.workload, c.scheme, int(i));
-        spec.cells.push_back(std::move(c));
+    std::vector<char *> cargs;
+    for (std::string &s : args)
+        cargs.push_back(s.data());
+    cargs.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        std::perror("fork");
+    if (pid == 0) {
+        const int fd =
+            ::open(log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+        if (fd >= 0) {
+            ::dup2(fd, 1);
+            ::dup2(fd, 2);
+            ::close(fd);
+        }
+        ::execv(cargs[0], cargs.data());
+        std::perror("execv");
+        std::_Exit(127);
     }
-    return spec;
+    return pid;
 }
 
-struct PollState
+/** Run @p args to completion; the wait status, or -1 on error. */
+int
+runChild(const std::vector<std::string> &args, const std::string &log)
 {
-    bool ok = false;
-    bool complete = false;
-    std::size_t done = 0;
-    std::string resultPath;
-};
-
-PollState
-poll(ServerHandle &server, const std::string &idHex)
-{
-    PollState st;
-    JsonValue resp;
-    if (!server.rpc(csprintf("{\"op\": \"poll\", \"id\": \"%s\"}", idHex),
-                    resp))
-        return st;
-    const JsonValue *ok = resp.get("ok");
-    if (!ok || !ok->isBool() || !ok->boolean)
-        return st;
-    st.ok = true;
-    if (const JsonValue *d = resp.get("done"))
-        st.done = static_cast<std::size_t>(d->number);
-    if (const JsonValue *s = resp.get("status"))
-        st.complete = s->text == "complete";
-    if (const JsonValue *r = resp.get("result"))
-        st.resultPath = r->text;
-    return st;
+    const pid_t pid = spawnChild(args, log);
+    int status = -1;
+    if (pid > 0)
+        ::waitpid(pid, &status, 0);
+    return status;
 }
 
-/** Submit; true when accepted or deduplicated, with the id in @p id. */
 bool
-submit(ServerHandle &server, const serve::CampaignSpec &spec,
-       std::string &id)
+exitedZero(int status)
 {
-    JsonValue resp;
-    if (!server.rpc(spec.toRequestJson(), resp))
-        return false;
-    const JsonValue *ok = resp.get("ok");
-    const JsonValue *jid = resp.get("id");
-    if (!ok || !ok->isBool() || !ok->boolean || !jid || !jid->isString())
-        return false;
-    id = jid->text;
-    return true;
+    return status != -1 && WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 int
@@ -668,185 +511,151 @@ run(int argc, char **argv)
     const ChaosOptions opt = parseChaosArgs(argc, argv);
     namespace fs = std::filesystem;
 
-    std::string root = opt.stateRoot;
-    if (root.empty()) {
-        const char *tmp = std::getenv("TMPDIR");
-        std::string templ = std::string(tmp && *tmp ? tmp : "/tmp") +
-                            "/hscd-chaos-XXXXXX";
-        std::vector<char> buf(templ.begin(), templ.end());
-        buf.push_back('\0');
-        if (!::mkdtemp(buf.data())) {
-            std::perror("mkdtemp");
-            return verify::ExitInternal;
-        }
-        root = buf.data();
-    }
-    std::error_code ec;
-    fs::create_directories(root + "/ref", ec);
-    fs::create_directories(root + "/chaos", ec);
-    fs::create_directories(root + "/shed", ec);
-
-    const serve::CampaignSpec spec = buildCampaign(opt);
-    std::printf("== hscd_faultcheck --server: %d cells "
-                "(%d workloads x %d schemes), %d kills, state in %s ==\n",
-                int(spec.cells.size()), int(opt.workloads.size()),
-                int(opt.schemes.size()), int(opt.kills), root.c_str());
-
-    auto harnessFail = [&](const char *what) {
-        std::fprintf(stderr, "FAIL (harness): %s; server log under %s\n",
-                     what, root.c_str());
+    const char *tmp = std::getenv("TMPDIR");
+    std::string templ = std::string(tmp && *tmp ? tmp : "/tmp") +
+                        "/hscd-sweep-chaos-XXXXXX";
+    if (!::mkdtemp(templ.data())) {
+        std::perror("mkdtemp");
         return verify::ExitInternal;
-    };
-
-    // --- Phase 1: uninterrupted reference run -------------------------
-    std::string refBytes;
-    {
-        ServerHandle server;
-        if (!server.spawn(opt, root + "/ref") || !server.connect())
-            return harnessFail("cannot start reference server");
-        std::string id;
-        if (!submit(server, spec, id))
-            return harnessFail("reference submit refused");
-        PollState st;
-        while (!(st = poll(server, id)).complete) {
-            if (!st.ok)
-                return harnessFail("reference poll failed");
-            std::this_thread::sleep_for(std::chrono::milliseconds(25));
-        }
-        refBytes = slurpFile(st.resultPath);
-        if (refBytes.empty())
-            return harnessFail("reference aggregate missing");
-        const int status = server.stop(SIGTERM);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-            return harnessFail("reference server did not drain to 0");
-        std::printf("[chaos] reference: %d cells complete, %d aggregate "
-                    "bytes\n",
-                    int(spec.cells.size()), int(refBytes.size()));
     }
+    const std::string root = templ;
+    std::printf("== hscd_faultcheck --sweep: %d sweep%s, %d kills each, "
+                "jobs=%d, fault=%s, work files in %s ==\n",
+                int(opt.sweeps.size()), opt.sweeps.size() == 1 ? "" : "s",
+                int(opt.kills), int(opt.jobs),
+                opt.faultSpec.empty() ? "off" : opt.faultSpec.c_str(),
+                root.c_str());
 
-    // --- Phase 2: the same campaign under kill -9 fire ----------------
-    // Kill k fires once journaled progress crosses (k+1)/(kills+1) of
-    // the campaign; resubmission after each restart is idempotent
-    // (accepted before the .req landed, dedup after).
-    std::string chaosBytes;
-    std::uint64_t restored = 0;
-    {
-        const std::string dir = root + "/chaos";
-        unsigned killed = 0;
-        std::string id;
-        PollState st;
-        while (true) {
-            ServerHandle server;
-            if (!server.spawn(opt, dir) || !server.connect())
-                return harnessFail("cannot (re)start chaos server");
-            if (!submit(server, spec, id))
-                return harnessFail("chaos submit refused");
-            const std::size_t threshold =
-                killed < opt.kills
-                    ? (spec.cells.size() * (killed + 1)) /
-                          (opt.kills + 1)
-                    : spec.cells.size() + 1; // past the last kill: finish
-            while (true) {
-                st = poll(server, id);
-                if (!st.ok)
-                    return harnessFail("chaos poll failed");
-                if (st.complete || st.done >= threshold)
+    Rng rng(1); // seeds the kill delays
+    bool corrupted = false;
+    for (const std::string &bin : opt.sweeps) {
+        const std::string name = fs::path(bin).filename().string();
+        const std::string base = root + "/" + name;
+        const std::string log = base + ".log";
+        auto harnessFail = [&](const std::string &what) {
+            std::fprintf(stderr, "FAIL (harness): %s: %s; log in %s\n",
+                         name.c_str(), what.c_str(), log.c_str());
+            return verify::ExitInternal;
+        };
+        std::vector<std::string> args = {bin, "--jobs",
+                                         csprintf("%d", int(opt.jobs))};
+        if (!opt.faultSpec.empty())
+            args.insert(args.end(), {"--fault", opt.faultSpec});
+        const std::string journal = base + ".journal";
+        std::vector<std::string> resumeArgs = args;
+        resumeArgs.insert(resumeArgs.end(),
+                          {"--checkpoint", journal, "--resume",
+                           "--json", base + ".json"});
+        args.insert(args.end(), {"--json", base + ".ref.json"});
+
+        // --- the uninterrupted reference --------------------------------
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!exitedZero(runChild(args, log)))
+            return harnessFail("the reference run did not exit 0");
+        const double refMs = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+        const std::string ref = slurpFile(base + ".ref.json");
+        JsonValue parsed;
+        std::string error;
+        const JsonValue *cells = nullptr;
+        if (!parseJson(ref, parsed, error) ||
+            !(cells = parsed.get("cells")) || !cells->isArray() ||
+            cells->items.empty())
+            return harnessFail("the reference JSON has no cells");
+        const std::size_t total = cells->items.size();
+
+        // --- the same sweep under kill -9 fire --------------------------
+        // Each kill waits for a seeded random number of newly journaled
+        // cells, then a seeded random part of one cell's time, so it
+        // lands while cells run and records are being appended. A time
+        // budget alone mostly hit process start-up: W1 runs its 30
+        // cells in a few milliseconds. A resume that finishes before
+        // its kill lands ends the chain: its JSON is checked like the
+        // last one's, and the next chain starts from an empty
+        // checkpoint, since no kill can cut a complete one.
+        auto identical = [&](unsigned kills) {
+            const std::string got = slurpFile(base + ".json");
+            if (got == ref)
+                return true;
+            std::fprintf(stderr,
+                         "FAIL: SILENT CORRUPTION - %s: JSON after %d "
+                         "kills differs from the reference (%d vs %d "
+                         "bytes); see %s\n",
+                         name.c_str(), int(kills), int(got.size()),
+                         int(ref.size()), root.c_str());
+            corrupted = true;
+            return false;
+        };
+        const double cellMs = refMs / double(total);
+        unsigned killed = 0, chains = 1, chainKills = 0;
+        for (unsigned attempt = 0; killed < opt.kills; ++attempt) {
+            if (attempt > 4 * opt.kills)
+                return harnessFail("the sweep keeps finishing before its "
+                                   "kill lands");
+            const std::size_t before = journaledRecords(journal);
+            const std::size_t left = total - std::min(before, total);
+            const std::size_t span =
+                std::max<std::size_t>(1, left / (opt.kills - killed));
+            const std::size_t target =
+                before + 1 + rng.below(static_cast<std::uint32_t>(span));
+            const pid_t pid = spawnChild(resumeArgs, log);
+            if (pid < 0)
+                return harnessFail("cannot start the sweep");
+            int status = -1;
+            while (::waitpid(pid, &status, WNOHANG) == 0) {
+                if (journaledRecords(journal) >= target) {
+                    std::this_thread::sleep_for(
+                        std::chrono::duration<double, std::milli>(
+                            rng.real() * cellMs));
+                    ::kill(pid, SIGKILL); // harmless if it just exited
+                    ::waitpid(pid, &status, 0);
                     break;
+                }
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
+                    std::chrono::microseconds(100));
             }
-            if (!st.complete && killed < opt.kills) {
-                server.stop(SIGKILL);
+            if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) {
                 ++killed;
-                std::printf("[chaos] kill %d/%d at %d/%d journaled "
-                            "cells\n",
-                            int(killed), int(opt.kills), int(st.done),
-                            int(spec.cells.size()));
+                ++chainKills;
+                std::printf("[chaos] %s: kill %d/%d, %d -> %d of %d "
+                            "cells journaled\n",
+                            name.c_str(), int(killed), int(opt.kills),
+                            int(before), int(journaledRecords(journal)),
+                            int(total));
                 continue;
             }
-            // Complete (possibly with fewer kills than asked for when
-            // the campaign outran the schedule - report honestly).
-            JsonValue stats;
-            if (server.rpc("{\"op\": \"stats\"}", stats)) {
-                if (const JsonValue *c = stats.get("counters"))
-                    if (const JsonValue *r =
-                            c->get("cells_restored"))
-                        restored = static_cast<std::uint64_t>(r->number);
-            }
-            chaosBytes = slurpFile(st.resultPath);
-            const int status = server.stop(SIGTERM);
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                return harnessFail("chaos server did not drain to 0");
-            if (killed < opt.kills) {
-                std::fprintf(stderr,
-                             "FAIL: campaign finished after only %d of "
-                             "%d kills - raise --cells\n",
-                             int(killed), int(opt.kills));
-                return verify::ExitViolation;
-            }
-            break;
+            if (!exitedZero(status))
+                return harnessFail("a resumed run failed");
+            identical(chainKills);
+            fs::remove(journal);
+            ++chains;
+            chainKills = 0;
         }
-        std::printf("[chaos] survived %d kills; %d cells restored from "
-                    "journals across restarts\n",
-                    int(killed), int(restored));
+
+        // --- one last resume runs to completion -------------------------
+        if (!exitedZero(runChild(resumeArgs, log)))
+            return harnessFail("the final resume did not exit 0");
+        if (identical(chainKills))
+            std::printf("[chaos] %s: JSON byte-identical to the reference "
+                        "after %d kills in %d chain%s (%d cells, %d "
+                        "bytes)\n",
+                        name.c_str(), int(killed), int(chains),
+                        chains == 1 ? "" : "s", int(total),
+                        int(ref.size()));
     }
 
-    // --- Phase 3: byte-identical aggregate ----------------------------
-    bool corrupted = false;
-    if (chaosBytes.empty()) {
-        std::fprintf(stderr, "FAIL: chaos aggregate missing\n");
-        corrupted = true;
-    } else if (maskJobs(refBytes) != maskJobs(chaosBytes)) {
-        std::fprintf(stderr,
-                     "FAIL: SILENT CORRUPTION - chaos aggregate differs "
-                     "from reference (%d vs %d bytes); see %s\n",
-                     int(chaosBytes.size()), int(refBytes.size()),
-                     root.c_str());
-        corrupted = true;
-    } else {
-        std::printf("[chaos] aggregate byte-identical to reference "
-                    "(%d bytes, jobs field masked)\n",
-                    int(refBytes.size()));
-    }
-
-    // --- Phase 4: backpressure is a structured shed, not a drop -------
-    bool shedOk = false;
-    {
-        ServerHandle server;
-        if (!server.spawn(opt, root + "/shed",
-                          {"--max-queued-cells", "10"}) ||
-            !server.connect())
-            return harnessFail("cannot start shed server");
-        serve::CampaignSpec big = buildCampaign(opt);
-        big.name = "chaos-shed"; // distinct identity from the real one
-        JsonValue resp;
-        if (!server.rpc(big.toRequestJson(), resp))
-            return harnessFail("shed rpc failed");
-        const JsonValue *ok = resp.get("ok");
-        const JsonValue *status = resp.get("status");
-        const JsonValue *retry = resp.get("retry");
-        shedOk = ok && ok->isBool() && !ok->boolean && status &&
-                 status->text == "shed" && retry && retry->isBool() &&
-                 retry->boolean;
-        if (shedOk)
-            std::printf("[chaos] over-bound submission shed with a "
-                        "structured retryable error\n");
-        else
-            std::fprintf(stderr, "FAIL: over-bound submission was not "
-                                 "shed structurally\n");
-        server.stop(SIGTERM);
-    }
-
-    if (corrupted || !shedOk) {
-        std::printf("\nverdict: contract VIOLATED (state kept in %s)\n",
+    if (corrupted) {
+        std::printf("\nverdict: contract VIOLATED (work files kept in "
+                    "%s)\n",
                     root.c_str());
         return verify::ExitViolation;
     }
-    std::printf("\nverdict: zero silent corruptions across %d kills of a "
-                "%d-cell campaign; backpressure structured\n",
-                int(opt.kills), int(spec.cells.size()));
-    if (!opt.keep && opt.stateRoot.empty())
-        fs::remove_all(root, ec);
+    std::printf("\nverdict: every sweep resumed byte-identically after %d "
+                "kills\n",
+                int(opt.kills));
+    std::error_code ec;
+    fs::remove_all(root, ec);
     return verify::ExitSuccess;
 }
 
@@ -858,7 +667,7 @@ int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--server")
+        if (std::string(argv[i]) == "--sweep")
             return chaos::run(argc, argv);
 
     const CliOptions opt = parseArgs(argc, argv);
