@@ -27,7 +27,6 @@ BM_SimulateScheme(benchmark::State &state)
 {
     MachineConfig cfg;
     cfg.scheme = static_cast<SchemeKind>(state.range(0));
-    cfg.fastPath = state.range(1) != 0;
     cfg.procs = 8;
     Counter refs = 0;
     for (auto _ : state) {
@@ -65,14 +64,8 @@ BM_MarkingOnly(benchmark::State &state)
 
 } // namespace
 
-// Second argument selects the execution path: 1 = epoch-stream fast path
-// (the default in MachineConfig), 0 = legacy per-access HIR interpreter,
-// kept measurable so speedups are attributable.
 BENCHMARK(BM_SimulateScheme)
-    ->ArgsProduct({{int(SchemeKind::Base), int(SchemeKind::SC),
-                    int(SchemeKind::TPI), int(SchemeKind::HW),
-                    int(SchemeKind::VC)},
-                   {1, 0}});
+    ->DenseRange(int(SchemeKind::Base), int(SchemeKind::VC));
 BENCHMARK(BM_CompileBenchmark)->DenseRange(0, 5);
 BENCHMARK(BM_MarkingOnly);
 

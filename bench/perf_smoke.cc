@@ -4,7 +4,7 @@
  * "perf", see CMakePresets.json preset of the same name).
  *
  * Measures sustained simulated references per second for every scheme
- * on the P1 microbenchmark workload (fast path on) and compares against
+ * on the P1 microbenchmark workload and compares against
  * the baseline in BENCH_p1.json:
  *
  *   perf_smoke [PATH]           check only; never writes PATH
@@ -64,7 +64,6 @@ measure(const compiler::CompiledProgram &cp, SchemeKind k)
     MachineConfig cfg;
     cfg.scheme = k;
     cfg.procs = 8;
-    cfg.fastPath = true;
     (void)sim::simulate(cp, cfg); // warm up (builds the cached stream)
 
     double best = 0;
@@ -135,7 +134,6 @@ obsOverheadPercent(const compiler::CompiledProgram &cp, int trials)
     MachineConfig cfg;
     cfg.scheme = SchemeKind::TPI;
     cfg.procs = 8;
-    cfg.fastPath = true;
     (void)sim::simulate(cp, cfg); // warm up (builds the cached stream)
 
     auto rate = [&](bool armed) {

@@ -49,7 +49,13 @@ enum class TakePolicy
 {
     Always,      ///< then-branch every time
     Never,       ///< else-branch every time
-    Alternate,   ///< then on even trip counts, else on odd
+    /**
+     * Then on the branch's even evaluations, else on its odd ones,
+     * counted over the whole run in program order. Inside a DOALL the
+     * iterations count in index order, as if the loop ran serially, so
+     * every schedule and processor count takes the same arms.
+     */
+    Alternate,
     Hash,        ///< deterministic pseudo-random on the live bindings
 };
 

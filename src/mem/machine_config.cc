@@ -114,8 +114,6 @@ MachineConfig::params()
                 "sequential instead of weak consistency")
         .define("shadow_check", "false",
                 "shadow-epoch race detector: flag stale cache hits")
-        .define("fastpath", "true",
-                "epoch-stream fast path (false = interpreted oracle)")
         .define("network", "min",
                 "interconnect topology: min|torus3d")
         .define("fault", "0",
@@ -150,7 +148,6 @@ MachineConfig::fromParams(const Params &p)
     c.migrationRate = p.getDouble("migration_rate");
     c.sequentialConsistency = p.getBool("seq_consistency");
     c.shadowEpochCheck = p.getBool("shadow_check");
-    c.fastPath = p.getBool("fastpath");
     c.topology = parseTopology(p.getString("network"));
     c.fault = fault::FaultPlan::parse(p.getString("fault"));
     c.faultAckTimeoutCycles = p.getUint("fault_timeout");

@@ -111,18 +111,6 @@ struct MachineConfig
      */
     bool shadowEpochCheck = false;
     /**
-     * Epoch-stream fast path: compile the program's per-processor
-     * reference sequences into flat streams once (cached on the
-     * CompiledProgram) and drive a devirtualized per-scheme access loop
-     * from them, instead of re-walking HIR statements per reference.
-     * Produces byte-identical RunResults; the interpreted path is kept
-     * compiled (fastPath = false) as the equivalence-test oracle, and is
-     * also used automatically whenever a program/config combination is
-     * ineligible for streaming (dynamic self-scheduling, alternating
-     * branches inside DOALL bodies).
-     */
-    bool fastPath = true;
-    /**
      * Deterministic fault injection (off by default: rate 0). When the
      * plan is enabled the Machine owns a FaultInjector and threads it
      * through the network model and the coherence scheme; faults then

@@ -25,7 +25,7 @@ struct PhaseProfile
 {
     double compileMs = 0;   ///< HIR build + marking analysis
     double machineMs = 0;   ///< sim::Machine construction
-    double streamMs = 0;    ///< epoch-stream program build (fast path)
+    double streamMs = 0;    ///< op-stream lookup (the recording, first run)
     double execMs = 0;      ///< simulation proper
     std::uint64_t rssPeakKb = 0;  ///< ru_maxrss at end of run
 
@@ -40,8 +40,8 @@ struct PhaseProfile
 
     /**
      * Always equal: profiles are wall-clock noise and must not perturb
-     * RunResult's defaulted equality (fastpath-equivalence and
-     * determinism suites compare RunResults directly).
+     * RunResult's defaulted equality (the determinism suites compare
+     * RunResults directly).
      */
     bool operator==(const PhaseProfile &) const { return true; }
 };

@@ -6,10 +6,8 @@
  *
  * The recorder is deliberately ignorant of the mem/compiler layers: it
  * stores plain integers (track ids, epoch ids, cycle timestamps, raw
- * enum values). The executor - the single code path shared by the
- * interpreter and the epoch-stream fast path - is the only producer, so
- * the two execution modes emit identical event streams by construction;
- * a test asserts `events()` equality directly.
+ * enum values). The executor is the only producer; tests pin a run's
+ * `events()` as a golden digest.
  *
  * Track layout in the exported trace:
  *   tid 0..P-1   processor tracks (epoch spans, miss flow origins)
@@ -56,7 +54,7 @@ class Timeline
 
     /**
      * One recorded event; plain integers only so defaulted equality is
-     * exact and the fastpath-vs-interpreter test can compare vectors.
+     * exact and tests can compare or digest event vectors.
      */
     struct Event
     {

@@ -34,14 +34,6 @@ TaskStream::TaskStream(const Program &prog, RunCtx &ctx,
 }
 
 void
-TaskStream::addIterations(std::int64_t lo, std::int64_t hi,
-                          std::int64_t step)
-{
-    for (std::int64_t i = lo; i <= hi; i += step)
-        _pending.push_back(i);
-}
-
-void
 TaskStream::addIteration(std::int64_t iter)
 {
     _pending.push_back(iter);
@@ -136,9 +128,6 @@ TaskStream::next()
                 return op;
             }
             // Task mode: advance to the next queued iteration.
-            if (_varBound) {
-                // restore nothing: the variable is rebound per iteration
-            }
             if (_nextIter >= _pending.size()) {
                 TaskOp op;
                 op.kind = TaskOp::Kind::End;
@@ -146,7 +135,6 @@ TaskStream::next()
             }
             _currentIter = _pending[_nextIter++];
             _env.bind(_doall->var, _currentIter);
-            _varBound = true;
             push(_doall->body);
             continue;
         }

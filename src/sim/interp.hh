@@ -1,16 +1,17 @@
 /**
  * @file
- * Resumable HIR interpreter.
+ * Resumable HIR interpreter: the op-stream recorder.
  *
  * A TaskStream walks a statement list with an explicit frame stack and
- * yields one operation at a time, which is what lets the executor
- * interleave many processors' work in global time order. Two modes:
+ * yields one operation at a time. The stream builder (sim/stream.hh)
+ * runs it once per program to record the ops the executor replays. Two
+ * modes:
  *
  *  - top-level (the serial master thread): encountering a DOALL yields a
  *    BeginDoall operation with evaluated bounds and does not descend;
- *  - task mode (one DOALL's iterations on one processor): nested DOALLs
- *    are demoted to serial loops, and the stream runs a list of
- *    iterations that can be extended dynamically (self-scheduling).
+ *  - task mode (one DOALL's iterations): nested DOALLs are demoted to
+ *    serial loops, and the stream runs a list of iterations that can be
+ *    extended after it runs dry.
  */
 
 #ifndef HSCD_SIM_INTERP_HH
@@ -74,13 +75,12 @@ class TaskStream
 
     /**
      * Task-mode stream over one DOALL's body; iterations are appended
-     * with addIterations(). @p outer_env carries the master's bindings.
+     * with addIteration(). @p outer_env carries the master's bindings.
      */
     TaskStream(const hir::Program &prog, RunCtx &ctx,
                const hir::LoopStmt &doall, hir::Env outer_env);
 
-    /** Queue more iterations (initial chunk or dynamic self-schedule). */
-    void addIterations(std::int64_t lo, std::int64_t hi, std::int64_t step);
+    /** Queue one more iteration. */
     void addIteration(std::int64_t iter);
 
     /** Produce the next operation. */
@@ -91,12 +91,6 @@ class TaskStream
 
     /** Iteration currently executing (task mode; -1 before the first). */
     std::int64_t currentIteration() const { return _currentIter; }
-
-    /** True when a task-mode stream is between iterations. */
-    bool betweenIterations() const
-    {
-        return _taskMode && _frames.empty();
-    }
 
   private:
     struct Frame
@@ -133,7 +127,6 @@ class TaskStream
     std::vector<std::int64_t> _pending;
     std::size_t _nextIter = 0;
     std::int64_t _currentIter = -1;
-    bool _varBound = false;
 };
 
 } // namespace sim

@@ -21,14 +21,12 @@
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
-#include "sim/interp.hh"
 #include "sim/stream.hh"
 #include "sim/trace.hh"
 
 namespace hscd {
 namespace sim {
 
-using compiler::MarkKind;
 using mem::MemOp;
 using mem::ValueStamp;
 
@@ -143,24 +141,21 @@ harvestCounters(RunResult &r, Cycles end, const std::vector<Cycles> &busy,
 }
 
 /**
- * Execution engine: walks the program with a master serial stream and
- * interleaves parallel-epoch task streams in global time order.
+ * Execution engine: replays the program's recorded op stream
+ * (sim/stream.hh), running the serial master's ops in order and
+ * interleaving each parallel epoch's processors in global time order.
  *
- * Two sources can feed the engine. The interpreted path walks HIR
- * statements through TaskStream per reference; the epoch-stream fast
- * path (sim/stream.hh) replays a pre-recorded flat op stream instead.
- * Both funnel every operation through the same issueRef/merge/boundary
- * machinery, templated on the concrete coherence scheme so the
- * per-reference access call is direct rather than virtual; results are
- * byte-identical by construction (and enforced by the equivalence
- * tests).
+ * The schedule is applied here, at replay time: block and cyclic hand
+ * each processor its iterations up front, and dynamic self-scheduling
+ * hands out dynamicChunk iterations whenever a processor runs dry. The
+ * replay is templated on the concrete coherence scheme so the
+ * per-reference access call is direct rather than virtual.
  */
 class Executor
 {
   public:
     explicit Executor(Machine &m)
-        : _m(m), _cfg(m._cfg), _prog(m._cp.program),
-          _marking(m._cp.marking), _scheme(*m._scheme),
+        : _m(m), _cfg(m._cfg), _scheme(*m._scheme),
           _tl(m._timeline), _mx(m._metrics),
           _lastStamp(m._memory.words(), 0),
           _procTime(m._cfg.procs, 0),
@@ -184,9 +179,7 @@ class Executor
             // Structured termination: counters are harvested up to the
             // point of death, and the abort record (with its post-mortem
             // snapshot) rides along in the RunResult instead of the run
-            // spinning forever or dying on an assert. The same path
-            // serves the interpreter and the fast path - the abort is
-            // thrown from machinery both share.
+            // spinning forever or dying on an assert.
             finish();
             if (_tl)
                 _tl->instant(obs::Timeline::InstantKind::Abort,
@@ -202,192 +195,74 @@ class Executor
     dispatchByScheme()
     {
         std::shared_ptr<const StreamProgram> sp;
-        if (_cfg.fastPath) {
+        {
             obs::PhaseTimer t(_m._profiled ? &_res.profile.streamMs
                                            : nullptr);
             sp = epochStream(_m._cp, _cfg);
         }
         switch (_cfg.scheme) {
           case SchemeKind::Base:
-            return dispatch(static_cast<mem::BaseScheme &>(_scheme), sp);
+            return runStream(static_cast<mem::BaseScheme &>(_scheme), *sp);
           case SchemeKind::SC:
-            return dispatch(static_cast<mem::ScScheme &>(_scheme), sp);
+            return runStream(static_cast<mem::ScScheme &>(_scheme), *sp);
           case SchemeKind::TPI:
-            return dispatch(static_cast<mem::TpiScheme &>(_scheme), sp);
+            return runStream(static_cast<mem::TpiScheme &>(_scheme), *sp);
           case SchemeKind::HW:
-            return dispatch(static_cast<mem::DirectoryScheme &>(_scheme),
-                            sp);
+            return runStream(static_cast<mem::DirectoryScheme &>(_scheme),
+                             *sp);
           case SchemeKind::VC:
-            return dispatch(static_cast<mem::VcScheme &>(_scheme), sp);
+            return runStream(static_cast<mem::VcScheme &>(_scheme), *sp);
         }
         panic("unknown scheme kind");
     }
 
   private:
     /**
-     * One operation as the engine consumes it: a TaskOp with the
-     * compiler's per-reference facts (mark, distance, criticality)
-     * already attached. The interpreted path fills those from the mark
-     * table per reference; the fast path recorded them in the stream.
+     * One processor's share of a parallel epoch: iterations first,
+     * first + stride, ... below end, replayed op by op.
      */
-    struct ExecOp
-    {
-        TaskOp::Kind kind = TaskOp::Kind::End;
-        Addr addr = 0;
-        bool write = false;
-        bool markCritical = false;
-        MarkKind mark = MarkKind::Normal;
-        std::uint32_t distance = 0;
-        hir::RefId ref = hir::invalidRef;
-        hir::ArrayId array = hir::invalidArray;
-        std::int64_t aux = 0;  ///< Compute cycles or sync flag
-    };
-
-    /** Replays one processor's recorded epoch stream as ExecOps. */
-    class StreamCursor
+    class IterCursor
     {
       public:
-        explicit StreamCursor(const std::vector<StreamOp> *ops)
-            : _ops(ops)
-        {}
+        explicit IterCursor(const EpochStream &ep) : _ep(&ep) {}
 
-        /** Next record, or nullptr at end; tracks IterStart markers. */
+        /** Hand over iterations [first, end) at @p stride. */
+        void
+        assign(std::size_t first, std::size_t end, std::size_t stride)
+        {
+            _next = first;
+            _end = end;
+            _stride = stride;
+        }
+
+        /** Next op, or nullptr once the assigned iterations are done. */
         const StreamOp *
         next()
         {
-            while (_idx < _ops->size()) {
-                const StreamOp &r = (*_ops)[_idx++];
-                if (r.kind == StreamOp::Kind::IterStart) {
-                    _iter = r.aux;
-                    continue;
-                }
-                return &r;
+            while (_pos == _stop) {
+                if (_next >= _end)
+                    return nullptr;
+                _iter = _ep->lo + static_cast<std::int64_t>(_next) *
+                                      _ep->step;
+                _pos = _ep->iterBegin[_next];
+                _stop = _ep->iterBegin[_next + 1];
+                _next += _stride;
             }
-            return nullptr;
+            return &_ep->ops[_pos++];
         }
 
-        /** Iteration of the record last returned (-1 before the first). */
+        /** Loop index of the op last returned (-1 before the first). */
         std::int64_t iter() const { return _iter; }
 
       private:
-        const std::vector<StreamOp> *_ops;
-        std::size_t _idx = 0;
+        const EpochStream *_ep;
+        std::size_t _next = 0;
+        std::size_t _end = 0;
+        std::size_t _stride = 1;
+        std::size_t _pos = 0;
+        std::size_t _stop = 0;
         std::int64_t _iter = -1;
     };
-
-    ExecOp
-    toExec(const TaskOp &op) const
-    {
-        ExecOp e;
-        e.kind = op.kind;
-        switch (op.kind) {
-          case TaskOp::Kind::Ref: {
-            e.addr = op.addr;
-            e.write = op.write;
-            e.ref = op.ref;
-            e.array = op.array;
-            const compiler::Mark &mark = _marking.mark(op.ref);
-            e.markCritical =
-                mark.reason == compiler::MarkReason::Critical;
-            if (!op.write) {
-                e.mark = mark.kind;
-                e.distance = mark.distance;
-            }
-            break;
-          }
-          case TaskOp::Kind::Compute:
-            e.aux = static_cast<std::int64_t>(op.cycles);
-            break;
-          case TaskOp::Kind::Post:
-          case TaskOp::Kind::Wait:
-            e.aux = op.flag;
-            break;
-          default:
-            break;
-        }
-        return e;
-    }
-
-    ExecOp
-    toExec(const StreamOp &rec) const
-    {
-        ExecOp e;
-        switch (rec.kind) {
-          case StreamOp::Kind::Ref:
-            e.kind = TaskOp::Kind::Ref;
-            e.addr = rec.addr;
-            e.write = rec.write;
-            e.ref = rec.ref;
-            e.array = rec.array;
-            e.markCritical = rec.markCritical;
-            e.mark = rec.mark;
-            e.distance = rec.distance;
-            break;
-          case StreamOp::Kind::Compute:
-            e.kind = TaskOp::Kind::Compute;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::LockAcquire:
-            e.kind = TaskOp::Kind::LockAcquire;
-            break;
-          case StreamOp::Kind::LockRelease:
-            e.kind = TaskOp::Kind::LockRelease;
-            break;
-          case StreamOp::Kind::Post:
-            e.kind = TaskOp::Kind::Post;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::Wait:
-            e.kind = TaskOp::Kind::Wait;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::CallBoundary:
-            e.kind = TaskOp::Kind::CallBoundary;
-            break;
-          default:
-            panic("stream record has no executor mapping");
-        }
-        return e;
-    }
-
-    template <class Scheme>
-    RunResult
-    dispatch(Scheme &scheme, const std::shared_ptr<const StreamProgram> &sp)
-    {
-        return sp ? runStream(scheme, *sp) : runInterp(scheme);
-    }
-
-    template <class Scheme>
-    RunResult
-    runInterp(Scheme &scheme)
-    {
-        RunCtx ctx;
-        TaskStream master(_prog, ctx, _prog.main().body);
-        while (true) {
-            TaskOp op = master.next();
-            if (op.kind == TaskOp::Kind::End)
-                break;
-            switch (op.kind) {
-              case TaskOp::Kind::Ref:
-                issueRef(scheme, _serialProc, toExec(op), -1);
-                break;
-              case TaskOp::Kind::Barrier:
-                boundary();
-                break;
-              case TaskOp::Kind::BeginDoall:
-                boundary();
-                runParallelInterp(scheme, op, master.env(), ctx);
-                boundary();
-                migrateSerialTask();
-                break;
-              default:
-                serialOp(op.kind, toExec(op).aux);
-                break;
-            }
-        }
-        finish();
-        return _res;
-    }
 
     template <class Scheme>
     RunResult
@@ -396,21 +271,20 @@ class Executor
         for (const StreamOp &rec : sp.master) {
             switch (rec.kind) {
               case StreamOp::Kind::Ref:
-                issueRef(scheme, _serialProc, toExec(rec), -1);
+                issueRef(scheme, _serialProc, rec, -1);
                 break;
               case StreamOp::Kind::Barrier:
                 boundary();
                 break;
               case StreamOp::Kind::BeginDoall:
                 boundary();
-                runParallelStream(
-                    scheme,
-                    sp.epochs[static_cast<std::size_t>(rec.aux)]);
+                runParallel(scheme,
+                            sp.epochs[static_cast<std::size_t>(rec.aux)]);
                 boundary();
                 migrateSerialTask();
                 break;
               default:
-                serialOp(toExec(rec).kind, rec.aux);
+                serialOp(rec.kind, rec.aux);
                 break;
             }
         }
@@ -420,33 +294,33 @@ class Executor
 
     /** Serial-mode ops other than Ref/Barrier/BeginDoall. */
     void
-    serialOp(TaskOp::Kind kind, std::int64_t aux)
+    serialOp(StreamOp::Kind kind, std::int64_t aux)
     {
         switch (kind) {
-          case TaskOp::Kind::Compute:
+          case StreamOp::Kind::Compute:
             _procTime[_serialProc] += static_cast<Cycles>(aux);
             break;
-          case TaskOp::Kind::LockAcquire:
+          case StreamOp::Kind::LockAcquire:
             _procTime[_serialProc] += _cfg.lockCycles;
             _inCritical[_serialProc] = 1;
             break;
-          case TaskOp::Kind::LockRelease:
+          case StreamOp::Kind::LockRelease:
             _inCritical[_serialProc] = 0;
             break;
-          case TaskOp::Kind::Post:
+          case StreamOp::Kind::Post:
             // Release semantics: pending writes drain first.
             _procTime[_serialProc] =
                 std::max(_procTime[_serialProc],
                          _scheme.writeDrainTime(_serialProc));
             _serialPosted.insert(aux);
             break;
-          case TaskOp::Kind::Wait:
+          case StreamOp::Kind::Wait:
             if (!_serialPosted.count(aux))
                 fatal("serial wait(%d) with no prior post: deadlock",
                       aux);
             _procTime[_serialProc] += _cfg.lockCycles;
             break;
-          case TaskOp::Kind::CallBoundary:
+          case StreamOp::Kind::CallBoundary:
             if (_cfg.flushAtCalls) {
                 _scheme.flushCache(_serialProc);
                 _procTime[_serialProc] += _cfg.callFlushCycles;
@@ -657,7 +531,7 @@ class Executor
 
     template <class Scheme>
     void
-    issueRef(Scheme &scheme, ProcId proc, const ExecOp &op,
+    issueRef(Scheme &scheme, ProcId proc, const StreamOp &op,
              std::int64_t task)
     {
         bool critical = op.markCritical || _inCritical[proc] != 0;
@@ -722,113 +596,61 @@ class Executor
         }
     }
 
-    /** Does the DOALL body contain post/wait (memoized)? */
-    bool
-    doallHasSync(const hir::LoopStmt *loop)
-    {
-        auto it = _doallSync.find(loop);
-        if (it != _doallSync.end())
-            return it->second;
-        bool has = doallBodyHasSync(_prog, *loop);
-        _doallSync[loop] = has;
-        return has;
-    }
-
+    /** Run one parallel epoch under the configured schedule. */
     template <class Scheme>
     void
-    runParallelInterp(Scheme &scheme, const TaskOp &doall,
-                      const hir::Env &outer, RunCtx &ctx)
+    runParallel(Scheme &scheme, const EpochStream &ep)
     {
         ++_res.parallelEpochs;
-        _syncEpoch = doallHasSync(doall.doall);
+        _syncEpoch = ep.hasSync;
+        const std::size_t n = ep.taskCount();
+        _res.tasks += n;
         const unsigned P = _cfg.procs;
 
-        std::vector<std::unique_ptr<TaskStream>> streams;
-        streams.reserve(P);
-        for (unsigned p = 0; p < P; ++p)
-            streams.push_back(std::make_unique<TaskStream>(
-                _prog, ctx, *doall.doall, outer));
-
-        // Iteration list.
-        std::vector<std::int64_t> iters;
-        for (std::int64_t i = doall.lo; i <= doall.hi; i += doall.step)
-            iters.push_back(i);
-        _res.tasks += iters.size();
-
+        std::vector<IterCursor> cursors(P, IterCursor(ep));
         std::size_t next_dyn = 0;
+        // Dynamic self-scheduling: processor p takes the next chunk.
+        auto grab = [&](ProcId p) {
+            const std::size_t end =
+                std::min(n, next_dyn + _cfg.dynamicChunk);
+            cursors[p].assign(next_dyn, end, 1);
+            next_dyn = end;
+        };
         switch (_cfg.sched) {
           case SchedPolicy::Block: {
-            std::size_t chunk = (iters.size() + P - 1) / P;
-            for (unsigned p = 0; p < P; ++p) {
-                std::size_t b = p * chunk;
-                std::size_t e = std::min(iters.size(), b + chunk);
-                for (std::size_t i = b; i < e; ++i)
-                    streams[p]->addIteration(iters[i]);
-            }
+            const std::size_t chunk = (n + P - 1) / P;
+            for (unsigned p = 0; p < P; ++p)
+                cursors[p].assign(p * chunk, std::min(n, (p + 1) * chunk),
+                                  1);
             break;
           }
           case SchedPolicy::Cyclic:
-            for (std::size_t i = 0; i < iters.size(); ++i)
-                streams[i % P]->addIteration(iters[i]);
+            for (unsigned p = 0; p < P; ++p)
+                cursors[p].assign(p, n, P);
             break;
           case SchedPolicy::Dynamic:
-            for (unsigned p = 0; p < P && next_dyn < iters.size(); ++p)
-                for (unsigned c = 0;
-                     c < _cfg.dynamicChunk && next_dyn < iters.size(); ++c)
-                    streams[p]->addIteration(iters[next_dyn++]);
+            for (unsigned p = 0; p < P && next_dyn < n; ++p)
+                grab(p);
             break;
         }
 
         mergeEpoch(
-            scheme,
-            [&](ProcId p) { return toExec(streams[p]->next()); },
-            [&](ProcId p) { return streams[p]->currentIteration(); },
-            [&](ProcId p) {
-                if (_cfg.sched == SchedPolicy::Dynamic &&
-                    next_dyn < iters.size())
-                {
-                    for (unsigned c = 0;
-                         c < _cfg.dynamicChunk && next_dyn < iters.size();
-                         ++c)
-                        streams[p]->addIteration(iters[next_dyn++]);
-                    return true;
-                }
-                return false;
-            });
-    }
-
-    template <class Scheme>
-    void
-    runParallelStream(Scheme &scheme, const EpochStream &ep)
-    {
-        ++_res.parallelEpochs;
-        _syncEpoch = ep.hasSync;
-        _res.tasks += ep.taskCount;
-        const unsigned P = _cfg.procs;
-        hscd_dassert(ep.perProc.size() == P,
-                     "stream recorded for a different processor count");
-
-        std::vector<StreamCursor> cursors;
-        cursors.reserve(P);
-        for (unsigned p = 0; p < P; ++p)
-            cursors.emplace_back(&ep.perProc[p]);
-
-        mergeEpoch(
-            scheme,
-            [&](ProcId p) {
-                const StreamOp *r = cursors[p].next();
-                return r ? toExec(*r) : ExecOp{};
-            },
+            scheme, [&](ProcId p) { return cursors[p].next(); },
             [&](ProcId p) { return cursors[p].iter(); },
-            [](ProcId) { return false; });
+            [&](ProcId p) {
+                if (_cfg.sched != SchedPolicy::Dynamic || next_dyn >= n)
+                    return false;
+                grab(p);
+                return true;
+            });
     }
 
     /**
      * Global-time interleaving of one parallel epoch. @p nextOp yields
-     * the next operation of processor p's task stream, @p iterOf its
-     * current iteration (the legality checker's task id), and @p onEnd
-     * runs when a stream is exhausted, returning true to re-queue the
-     * processor (dynamic self-scheduling refill).
+     * the next op of processor p's iterations (nullptr once they are
+     * done), @p iterOf its current iteration (the legality checker's
+     * task id), and @p onEnd runs when p runs dry, returning true to
+     * re-queue the processor (dynamic self-scheduling refill).
      */
     template <class Scheme, class NextFn, class IterFn, class EndFn>
     void
@@ -861,98 +683,99 @@ class Executor
             auto [t, p] = pq.top();
             pq.pop();
             const Cycles t_before = _procTime[p];
-            ExecOp op = nextOp(p);
-            switch (op.kind) {
-              case TaskOp::Kind::Ref:
-                issueRef(scheme, p, op, iterOf(p));
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::Compute:
-                _procTime[p] += static_cast<Cycles>(op.aux);
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::LockAcquire:
-                if (lock_owner == p) {
-                    // Re-entrant acquisition of the single global lock.
-                    ++lock_depth;
+            const StreamOp *op = nextOp(p);
+            if (!op) {
+                if (onEnd(p))
                     pq.emplace(_procTime[p], p);
-                } else if (lock_owner == invalidProc) {
-                    lock_owner = p;
-                    lock_depth = 1;
-                    _inCritical[p] = 1;
-                    _procTime[p] += _cfg.lockCycles;
-                    pq.emplace(_procTime[p], p);
-                } else {
-                    lock_waiters.push_back(p); // parked
-                }
-                break;
-              case TaskOp::Kind::LockRelease: {
-                hscd_assert(lock_owner == p, "release by non-owner");
-                if (--lock_depth > 0) {
+            } else {
+                switch (op->kind) {
+                  case StreamOp::Kind::Ref:
+                    issueRef(scheme, p, *op, iterOf(p));
                     pq.emplace(_procTime[p], p);
                     break;
-                }
-                _inCritical[p] = 0;
-                lock_owner = invalidProc;
-                if (!lock_waiters.empty()) {
-                    ProcId q = lock_waiters.front();
-                    lock_waiters.pop_front();
-                    _procTime[q] =
-                        std::max(_procTime[q], _procTime[p]) +
-                        _cfg.lockCycles;
-                    lock_owner = q;
-                    lock_depth = 1;
-                    _inCritical[q] = 1;
-                    pq.emplace(_procTime[q], q);
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              }
-              case TaskOp::Kind::Post: {
-                // Release: drain the poster's write buffer first.
-                _procTime[p] =
-                    std::max(_procTime[p], _scheme.writeDrainTime(p));
-                posted.emplace(op.aux, _procTime[p]);
-                auto wit = sync_waiters.find(op.aux);
-                if (wit != sync_waiters.end()) {
-                    for (ProcId q : wit->second) {
+                  case StreamOp::Kind::Compute:
+                    _procTime[p] += static_cast<Cycles>(op->aux);
+                    pq.emplace(_procTime[p], p);
+                    break;
+                  case StreamOp::Kind::LockAcquire:
+                    if (lock_owner == p) {
+                        // Re-entrant acquisition of the single global lock.
+                        ++lock_depth;
+                        pq.emplace(_procTime[p], p);
+                    } else if (lock_owner == invalidProc) {
+                        lock_owner = p;
+                        lock_depth = 1;
+                        _inCritical[p] = 1;
+                        _procTime[p] += _cfg.lockCycles;
+                        pq.emplace(_procTime[p], p);
+                    } else {
+                        lock_waiters.push_back(p); // parked
+                    }
+                    break;
+                  case StreamOp::Kind::LockRelease: {
+                    hscd_assert(lock_owner == p, "release by non-owner");
+                    if (--lock_depth > 0) {
+                        pq.emplace(_procTime[p], p);
+                        break;
+                    }
+                    _inCritical[p] = 0;
+                    lock_owner = invalidProc;
+                    if (!lock_waiters.empty()) {
+                        ProcId q = lock_waiters.front();
+                        lock_waiters.pop_front();
                         _procTime[q] =
                             std::max(_procTime[q], _procTime[p]) +
                             _cfg.lockCycles;
+                        lock_owner = q;
+                        lock_depth = 1;
+                        _inCritical[q] = 1;
                         pq.emplace(_procTime[q], q);
-                        --parked;
                     }
-                    sync_waiters.erase(wit);
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              }
-              case TaskOp::Kind::Wait: {
-                auto pit = posted.find(op.aux);
-                if (pit != posted.end()) {
+                    pq.emplace(_procTime[p], p);
+                    break;
+                  }
+                  case StreamOp::Kind::Post: {
+                    // Release: drain the poster's write buffer first.
                     _procTime[p] =
-                        std::max(_procTime[p], pit->second) +
-                        _cfg.lockCycles;
+                        std::max(_procTime[p], _scheme.writeDrainTime(p));
+                    posted.emplace(op->aux, _procTime[p]);
+                    auto wit = sync_waiters.find(op->aux);
+                    if (wit != sync_waiters.end()) {
+                        for (ProcId q : wit->second) {
+                            _procTime[q] =
+                                std::max(_procTime[q], _procTime[p]) +
+                                _cfg.lockCycles;
+                            pq.emplace(_procTime[q], q);
+                            --parked;
+                        }
+                        sync_waiters.erase(wit);
+                    }
                     pq.emplace(_procTime[p], p);
-                } else {
-                    sync_waiters[op.aux].push_back(p);
-                    ++parked;
-                }
-                break;
-              }
-              case TaskOp::Kind::CallBoundary:
-                if (_cfg.flushAtCalls) {
-                    _scheme.flushCache(p);
-                    _procTime[p] += _cfg.callFlushCycles;
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::End:
-                if (onEnd(p))
+                    break;
+                  }
+                  case StreamOp::Kind::Wait: {
+                    auto pit = posted.find(op->aux);
+                    if (pit != posted.end()) {
+                        _procTime[p] =
+                            std::max(_procTime[p], pit->second) +
+                            _cfg.lockCycles;
+                        pq.emplace(_procTime[p], p);
+                    } else {
+                        sync_waiters[op->aux].push_back(p);
+                        ++parked;
+                    }
+                    break;
+                  }
+                  case StreamOp::Kind::CallBoundary:
+                    if (_cfg.flushAtCalls) {
+                        _scheme.flushCache(p);
+                        _procTime[p] += _cfg.callFlushCycles;
+                    }
                     pq.emplace(_procTime[p], p);
-                break;
-              default:
-                panic("unexpected op in a task stream");
+                    break;
+                  default:
+                    panic("unexpected op in a task stream");
+                }
             }
             if (_procTime[p] != t_before)
                 stalled_ops = 0;
@@ -1011,8 +834,6 @@ class Executor
 
     Machine &_m;
     const MachineConfig &_cfg;
-    const hir::Program &_prog;
-    const compiler::Marking &_marking;
     mem::CoherenceScheme &_scheme;
     /** Observability recorders (null = hooks compile to a null check). */
     obs::Timeline *_tl;
@@ -1039,7 +860,6 @@ class Executor
     std::uint64_t _accessGen = 1;
     std::vector<char> _inCritical;
     std::set<std::int64_t> _serialPosted;
-    std::map<const hir::LoopStmt *, bool> _doallSync;
     bool _syncEpoch = false;
     EpochId _epoch = 0;
     ProcId _serialProc = 0;
@@ -1074,8 +894,8 @@ Machine::run()
         return ex.run();
     const double t0 = obs::nowMs();
     RunResult res = ex.run();
-    // execMs includes the stream build; profile.streamMs reports the
-    // build's share separately.
+    // execMs includes the stream lookup; profile.streamMs reports its
+    // share (the recording, on a program's first run) separately.
     res.profile.execMs += obs::nowMs() - t0;
     res.profile.rssPeakKb = obs::currentRssPeakKb();
     return res;

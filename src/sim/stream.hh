@@ -1,33 +1,33 @@
 /**
  * @file
- * Epoch-stream fast path: the program's reference sequences, compiled
- * once into flat per-processor streams.
+ * The op stream: a program's operations, recorded once into flat arrays
+ * that the executor replays on every run.
  *
- * The execution-driven engine normally re-walks HIR statements for every
- * simulated reference (frame stack, environment lookups, subscript
- * expression trees). For a fixed (program, procs, schedule) the sequence
- * of operations each processor performs is deterministic, so it can be
- * recorded once - by the same TaskStream interpreter that the legacy
- * path uses - into a flat, cache-friendly stream and replayed on every
- * subsequent run. A StreamOp is the trace machinery's Access record
- * (sim/trace.hh) stripped of its run-time fields (stamp, clock,
- * criticality) and extended with the static compiler facts the executor
- * would otherwise look up per reference (mark kind, Time-Read distance,
- * critical-section marking); the executor patches the dynamic fields in
- * at issue time, exactly as the interpreted path computes them.
+ * Walking HIR statements for every simulated reference (frame stack,
+ * environment lookups, subscript expression trees) is slow, and the
+ * operations a program performs do not depend on the machine it runs
+ * on. So TaskStream (sim/interp.hh) interprets each program once into a
+ * StreamProgram: the serial master's ops, and for each DOALL one flat
+ * op array with per-iteration offsets. The executor replays that for
+ * every scheme, processor count and schedule. Block, cyclic and dynamic
+ * scheduling are replay-time policies that hand iteration ranges to
+ * processors.
  *
- * The contract is strict equivalence: a fast-path run produces a
- * byte-identical RunResult to the interpreted run (enforced by
- * tests/test_fastpath_equiv.cc). Two program/config shapes make the
- * recorded stream timing-dependent and are therefore ineligible -
- * dynamic self-scheduling (iteration placement depends on completion
- * order) and Alternate-policy unknown branches inside DOALL bodies
- * (the shared alternation counter makes branch outcomes depend on the
- * cross-processor interleaving). Those fall back to the interpreter.
+ * A StreamOp is the trace machinery's Access record (sim/trace.hh)
+ * stripped of its run-time fields (stamp, clock, criticality) and
+ * extended with the static compiler facts the executor needs per
+ * reference (mark kind, Time-Read distance, critical-section marking);
+ * the executor patches the dynamic fields in at issue time.
  *
- * Streams are cached on the CompiledProgram itself (keyed by the config
- * fields that shape the stream), so sweeps that re-simulate one workload
- * under many machine configurations pay for interpretation once.
+ * A DOALL's iterations are recorded in index order by one TaskStream
+ * that shares the master's RunCtx. An Alternate-policy branch inside a
+ * DOALL body therefore resolves as it would if the loop ran serially:
+ * the outcome is the same for every scheme, processor count and
+ * schedule.
+ *
+ * The stream is cached on the CompiledProgram itself in one insert-once
+ * slot, so sweeps that re-simulate one workload under many machine
+ * configurations record it once.
  */
 
 #ifndef HSCD_SIM_STREAM_HH
@@ -43,7 +43,7 @@
 namespace hscd {
 namespace sim {
 
-/** One recorded operation of an epoch stream (32 bytes, flat). */
+/** One recorded operation of an op stream (32 bytes, flat). */
 struct StreamOp
 {
     enum class Kind : std::uint8_t
@@ -57,11 +57,10 @@ struct StreamOp
         CallBoundary, ///< procedure entry/return
         Barrier,      ///< master only: explicit epoch boundary
         BeginDoall,   ///< master only: run parallel epoch aux
-        IterStart,    ///< task streams only: iteration aux begins
     };
 
     Addr addr = 0;                ///< Ref: word address
-    std::int64_t aux = 0;         ///< cycles / flag / epoch index / iter
+    std::int64_t aux = 0;         ///< cycles / flag / epoch index
     hir::RefId ref = hir::invalidRef;
     std::uint32_t array = static_cast<std::uint32_t>(-1);
     std::uint32_t distance = 0;   ///< Ref (read): Time-Read operand
@@ -72,65 +71,50 @@ struct StreamOp
     bool markCritical = false;
 };
 
-/** One parallel epoch, pre-scheduled onto processors. */
+/**
+ * One parallel epoch: every iteration's ops, in index order. Iteration
+ * k runs loop index lo + k * step, and its ops are
+ * ops[iterBegin[k], iterBegin[k + 1]).
+ */
 struct EpochStream
 {
     bool hasSync = false;             ///< body contains post/wait
-    Counter taskCount = 0;            ///< DOALL iterations
-    std::vector<std::vector<StreamOp>> perProc;
+    std::int64_t lo = 0;
+    std::int64_t step = 1;
+    std::vector<std::size_t> iterBegin{0};
+    std::vector<StreamOp> ops;
+
+    /** DOALL iterations. */
+    std::size_t taskCount() const { return iterBegin.size() - 1; }
 };
 
-/** A whole program, flattened for one (procs, schedule) shape. */
+/** A whole program, flattened once for every machine config. */
 struct StreamProgram
 {
     /** Serial master ops; BeginDoall records index into epochs. */
     std::vector<StreamOp> master;
     std::vector<EpochStream> epochs;
 
-    /** Total recorded ops (master plus every epoch stream). */
+    /** Total recorded ops (master plus every epoch). */
     std::size_t opCount() const;
 };
 
 /**
- * Can (program, cfg) take the fast path at all? False for dynamic
- * self-scheduling and for Alternate-policy branches reachable inside a
- * parallel loop body (see file comment). Independent of cfg.fastPath -
- * callers gate on the flag separately.
- */
-bool streamEligible(const compiler::CompiledProgram &cp,
-                    const MachineConfig &cfg);
-
-/**
- * The stream for (cp, cfg), built on first use and cached on @p cp
- * (thread-safe, insert-once; bounded by an LRU byte budget per
- * program). Returns nullptr when the combination is ineligible or the
- * recording would exceed the hard size cap - callers must then use the
- * interpreted path.
+ * The stream for @p cp, recorded on first use and cached on @p cp
+ * (thread-safe, insert-once). The stream does not depend on @p cfg.
+ * Never null; fatal() when the recording exceeds the op cap.
  */
 std::shared_ptr<const StreamProgram>
 epochStream(const compiler::CompiledProgram &cp, const MachineConfig &cfg);
 
 /**
- * Record a stream without consulting the cache (test hook; also the
- * cache's builder). Returns nullptr exactly when streamEligible is
- * false or the op cap is exceeded.
- */
-std::shared_ptr<const StreamProgram>
-buildStreamProgram(const compiler::CompiledProgram &cp,
-                   const MachineConfig &cfg);
-
-/** Does a DOALL body (transitively) contain post/wait? */
-bool doallBodyHasSync(const hir::Program &prog, const hir::LoopStmt &loop);
-
-/**
- * Process-wide StreamProgram cache telemetry, aggregated over every
- * program's per-CompiledProgram slot (monotonic; for /stats).
+ * Process-wide stream cache telemetry, aggregated over every program's
+ * slot (monotonic).
  */
 struct StreamCacheStats
 {
     std::uint64_t builds = 0;    ///< streams recorded fresh
-    std::uint64_t hits = 0;      ///< served from a slot cache
-    std::uint64_t evictions = 0; ///< shapes dropped past the op budget
+    std::uint64_t hits = 0;      ///< served from a program's slot
 };
 
 StreamCacheStats streamCacheStats();

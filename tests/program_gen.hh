@@ -108,9 +108,9 @@ randomLegalProgram(const GenOptions &opt)
                 });
             }
             // Alternate-policy branch inside the DOALL body: legal (both
-            // arms read-only on data this epoch) but stream-ineligible,
-            // so the corpus exercises the fast path's refusal shapes too
-            // (FastpathEquiv.GeneratedAlternateInDoallFallsBack).
+            // arms read-only on data this epoch), and resolved in
+            // iteration index order whatever the schedule
+            // (FastpathEquiv.GeneratedAlternateInDoallGolden).
             if (opt.useIf && rng.chance(0.12)) {
                 unsigned a = rng.below(opt.dataArrays);
                 // Reading the written array is only legal at the task's

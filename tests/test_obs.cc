@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability layer contract tests: the metrics spec grammar and ring
- * buffer, JSON schema round-trips for both artifact kinds, the
- * fastpath-vs-interpreter event-identity guarantee, the zero-overhead
+ * buffer, JSON schema round-trips for both artifact kinds, the event
+ * stream the per-reference interpreter recorded (pinned as a golden
+ * digest now that the op stream is the only issue path), the zero-overhead
  * guard (attaching observers must not perturb the simulation), the
  * histogram percentile estimator, and the provenance primitives.
  */
@@ -17,6 +18,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "compiler/analysis.hh"
+#include "golden_digest.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "obs/provenance.hh"
@@ -169,11 +171,9 @@ struct ObservedRun
 };
 
 ObservedRun
-runObserved(const compiler::CompiledProgram &cp, bool fast_path)
+runObserved(const compiler::CompiledProgram &cp)
 {
-    MachineConfig cfg;
-    cfg.fastPath = fast_path;
-    sim::Machine m(cp, cfg);
+    sim::Machine m(cp, MachineConfig{});
     obs::Timeline tl;
     obs::MetricsRecorder rec(obs::MetricsSpec::parse("epoch"));
     m.setTimeline(&tl);
@@ -186,24 +186,38 @@ runObserved(const compiler::CompiledProgram &cp, bool fast_path)
     return out;
 }
 
+// Recorded by the interpreter: OCEAN (scale 1) with every observer
+// attached. Regenerate with HSCD_PRINT_GOLDEN=1.
+const std::vector<testgolden::Golden> kObservedGolden = {
+    {"ocean/result", 0xb6dd07d906722230ull},
+    {"ocean/events", 0x99c129fd303dae3full},
+    {"ocean/rows", 0x847de84e7bd705cbull},
+};
+
 } // namespace
 
 TEST(ObsEquivalence, FastPathEmitsIdenticalTimeline)
 {
     // The executor is the single producer of observability events, so
-    // the interpreter and the epoch-stream fast path must emit
-    // event-identical timelines and metric series, not merely equal
+    // the op stream must emit the timeline and metric series that the
+    // interpreter recorded event for event, not merely equal
     // aggregates.
     const compiler::CompiledProgram cp = compiler::compileProgram(
         workloads::buildBenchmark("ocean", /*scale=*/1));
-    const ObservedRun interp = runObserved(cp, /*fast_path=*/false);
-    const ObservedRun fast = runObserved(cp, /*fast_path=*/true);
+    const ObservedRun run = runObserved(cp);
 
-    EXPECT_EQ(interp.result, fast.result);
-    ASSERT_FALSE(interp.events.empty());
-    ASSERT_FALSE(interp.rows.empty());
-    EXPECT_EQ(interp.events, fast.events);
-    EXPECT_EQ(interp.rows, fast.rows);
+    ASSERT_FALSE(run.events.empty());
+    ASSERT_FALSE(run.rows.empty());
+    EXPECT_TRUE(testgolden::matchesGolden(kObservedGolden, "ocean/result",
+                                          run.result.fingerprint()));
+    testgolden::Digest events;
+    events.mixAll(run.events);
+    EXPECT_TRUE(testgolden::matchesGolden(kObservedGolden, "ocean/events",
+                                          events.value()));
+    testgolden::Digest rows;
+    rows.mixAll(run.rows);
+    EXPECT_TRUE(testgolden::matchesGolden(kObservedGolden, "ocean/rows",
+                                          rows.value()));
 }
 
 TEST(ObsEquivalence, ObserversDoNotPerturbTheRun)
@@ -217,7 +231,7 @@ TEST(ObsEquivalence, ObserversDoNotPerturbTheRun)
     MachineConfig cfg;
     sim::Machine plain_machine(cp, cfg);
     const sim::RunResult plain = plain_machine.run();
-    const ObservedRun observed = runObserved(cp, cfg.fastPath);
+    const ObservedRun observed = runObserved(cp);
 
     EXPECT_EQ(plain, observed.result);
     EXPECT_EQ(plain.fingerprint(), observed.result.fingerprint());
